@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     op.set_halo_precision(prec);
     RankCluster<double>& cl = op.cluster();
     // Odd-parity source on the extended rank volume, zero elsewhere
-    // (matches the virtual twin's scatter_parity into zeroed storage).
+    // (matches the virtual run's scatter_parity into zeroed storage).
     aligned_vector<WilsonSpinorD> odd_global(vol);
     std::memcpy(odd_global.data() + hv, src.data() + hv,
                 hv * sizeof(WilsonSpinorD));

@@ -1,21 +1,15 @@
 #pragma once
-// Even-odd (Schur) preconditioned Wilson operator evaluated through the
-// virtual cluster with split-phase, comm/compute-overlapped halo
-// exchanges — the distributed twin of SchurWilsonOperator (dirac/eo.hpp).
-//
-// Each half-volume sweep (D_eo or D_oe) runs as: exchange_begin on the
-// source field, hop over the target parity's interior (overlap-partition)
-// sites, exchange_finish, hop over the target parity's surface sites.
-// The per-site hop and the combine arithmetic are copied from the
-// single-domain Schur operator instruction for instruction, so iterates
-// are bit-identical — solvers preconditioned through this operator must
-// converge in exactly the same number of iterations.
-//
-// Fields live on the extended (haloed) per-rank volume and are
-// zero-initialized once: sites of the unwritten parity stay
-// deterministically zero, which is what makes scatter_parity +
-// full-field exchange correct (ghosts of the wrong parity are zero and
-// never read).
+// Even-odd (Schur) preconditioned Wilson operator on global fields
+// through the virtual cluster — the distributed counterpart of
+// SchurWilsonOperator (dirac/eo.hpp). An adapter over the SPMD
+// RankSchurWilsonOperator (comm/transport/rank_halo.hpp), which holds
+// the schedule and the per-site arithmetic: scatter the half-volume
+// input, run the rank operator's plan on every rank in lockstep, gather.
+// Each half-volume sweep (D_eo or D_oe) runs split-phase and overlapped
+// — begin on the source field, hop over the target parity's interior
+// sites, finish, hop over its surface sites — and iterates are
+// bit-identical to the single-domain operator: solvers preconditioned
+// through it converge in exactly the same number of iterations.
 
 #include "comm/halo.hpp"
 #include "linalg/blas.hpp"
@@ -25,232 +19,69 @@ namespace lqcd {
 /// Distributed Schur complement of the plain Wilson operator (A = 1):
 /// Mhat = 1 - kappa^2 D_oe D_eo on the odd checkerboard.
 template <typename T>
-class DistributedSchurWilsonOperator final : public LinearOperator<T> {
+class DistributedSchurWilsonOperator final
+    : public DistributedHopOperator<T, RankSchurWilsonOperator<T>> {
  public:
   DistributedSchurWilsonOperator(const GaugeField<T>& u, double kappa,
                                  const ProcessGrid& grid,
                                  TimeBoundary bc = TimeBoundary::Antiperiodic)
-      : cluster_(u.geometry(), grid), kappa_(static_cast<T>(kappa)) {
-    LQCD_REQUIRE(kappa > 0.0 && kappa < 0.25, "kappa out of (0, 0.25)");
-    const GaugeField<T> links = make_fermion_links(u, bc);
-    gauge_ = cluster_.scatter_gauge(links);
-    psi_ = cluster_.make_fermion();
-    tmp_ = cluster_.make_fermion();
-    res_ = cluster_.make_fermion();
-    baux_ = cluster_.make_fermion();
-  }
+      : DistributedHopOperator<T, RankSchurWilsonOperator<T>>(u, kappa, grid,
+                                                              bc),
+        psi_(this->cluster_.make_fermion()),
+        res_(this->cluster_.make_fermion()),
+        baux_(this->cluster_.make_fermion()) {}
 
   /// Mhat x on the odd checkerboard (half-volume spans).
   void apply(std::span<WilsonSpinor<T>> out,
              std::span<const WilsonSpinor<T>> in) const override {
-    const std::int64_t hv = cluster_.global_geometry().half_volume();
-    LQCD_REQUIRE(out.size() == static_cast<std::size_t>(hv) &&
+    LQCD_REQUIRE(out.size() == static_cast<std::size_t>(vector_size()) &&
                      in.size() == out.size(),
                  "Schur apply span sizes");
-    if (telemetry::enabled()) {
-      static telemetry::Counter& c =
-          telemetry::counter("dslash.dist_schur_applies");
-      static telemetry::Counter& c_sites =
-          telemetry::counter("dslash.site_applies");
-      c.add(1);
-      c_sites.add(cluster_.global_geometry().volume());
-    }
-    cluster_.scatter_parity(psi_, in, 1);
-    // Even sites of tmp <- D_eo in (raw hop, kappa applied in the
-    // combine, exactly as dslash_parity leaves it).
-    hop_stage(tmp_, psi_, 0,
-              [](WilsonSpinor<T>& dst, const WilsonSpinor<T>& hop,
-                 const RankFermion& /*aux*/, std::size_t /*xe*/) {
-                dst = hop;
-              });
-    // Odd sites of res <- in - kappa^2 D_oe tmp.
-    const T k2 = kappa_ * kappa_;
-    hop_stage(res_, tmp_, 1,
-              [k2](WilsonSpinor<T>& dst, const WilsonSpinor<T>& hop,
-                   const RankFermion& aux, std::size_t xe) {
-                WilsonSpinor<T> h = hop;
-                h *= k2;
-                WilsonSpinor<T> r = aux[xe];
-                r -= h;
-                dst = r;
-              },
-              &psi_);
-    cluster_.gather_parity(out, res_, 1);
+    this->cluster_.scatter_parity(psi_, in, 1);
+    this->run([&](std::size_t r) {
+      return this->ops_[r].apply_plan(res_[r], psi_[r]);
+    });
+    this->cluster_.gather_parity(out, res_, 1);
   }
 
   /// bhat_o = b_o + kappa D_oe b_e (b is a full-volume field).
   void prepare_rhs(std::span<WilsonSpinor<T>> bhat,
                    std::span<const WilsonSpinor<T>> b_full) const {
-    if (telemetry::enabled()) {
-      static telemetry::Counter& c_sites =
-          telemetry::counter("dslash.site_applies");
-      c_sites.add(cluster_.global_geometry().half_volume());
-    }
-    cluster_.scatter(baux_, b_full);
-    const T k = kappa_;
-    hop_stage(res_, baux_, 1,
-              [k](WilsonSpinor<T>& dst, const WilsonSpinor<T>& hop,
-                  const RankFermion& aux, std::size_t xe) {
-                WilsonSpinor<T> h = hop;
-                h *= k;
-                h += aux[xe];
-                dst = h;
-              },
-              &baux_);
-    cluster_.gather_parity(bhat, res_, 1);
+    this->cluster_.scatter(baux_, b_full);
+    this->run([&](std::size_t r) {
+      return this->ops_[r].prepare_rhs_plan(res_[r], baux_[r]);
+    });
+    this->cluster_.gather_parity(bhat, res_, 1);
   }
 
   /// x_full: odd block <- x_odd; even block <- b_e + kappa D_eo x_o.
   void reconstruct(std::span<WilsonSpinor<T>> x_full,
                    std::span<const WilsonSpinor<T>> x_odd,
                    std::span<const WilsonSpinor<T>> b_full) const {
-    const std::int64_t hv = cluster_.global_geometry().half_volume();
-    if (telemetry::enabled()) {
-      static telemetry::Counter& c_sites =
-          telemetry::counter("dslash.site_applies");
-      c_sites.add(hv);
-    }
-    auto x_full_odd = x_full.subspan(static_cast<std::size_t>(hv));
-    blas::copy(x_full_odd, x_odd);
-    cluster_.scatter_parity(psi_, x_odd, 1);
-    cluster_.scatter(baux_, b_full);
-    const T k = kappa_;
-    hop_stage(res_, psi_, 0,
-              [k](WilsonSpinor<T>& dst, const WilsonSpinor<T>& hop,
-                  const RankFermion& aux, std::size_t xe) {
-                WilsonSpinor<T> h = hop;
-                h *= k;
-                h += aux[xe];
-                dst = h;
-              },
-              &baux_);
-    cluster_.gather_parity(x_full.first(static_cast<std::size_t>(hv)), res_,
-                           0);
+    const auto hv = static_cast<std::size_t>(vector_size());
+    blas::copy(x_full.subspan(hv), x_odd);
+    this->cluster_.scatter_parity(psi_, x_odd, 1);
+    this->cluster_.scatter(baux_, b_full);
+    this->run([&](std::size_t r) {
+      return this->ops_[r].reconstruct_plan(res_[r], psi_[r], baux_[r]);
+    });
+    this->cluster_.gather_parity(x_full.first(hv), res_, 0);
   }
 
   [[nodiscard]] std::int64_t vector_size() const override {
-    return cluster_.global_geometry().half_volume();
+    return this->cluster_.global_geometry().half_volume();
   }
   [[nodiscard]] double flops_per_apply() const override {
     // Two half-volume dslashes + combine (same as SchurWilsonOperator).
-    return static_cast<double>(cluster_.global_geometry().volume()) *
+    return static_cast<double>(this->cluster_.global_geometry().volume()) *
                kDslashFlopsPerSite +
            static_cast<double>(vector_size()) * 48.0;
   }
-  [[nodiscard]] double kappa() const { return static_cast<double>(kappa_); }
-  [[nodiscard]] const VirtualCluster<T>& cluster() const { return cluster_; }
-  [[nodiscard]] VirtualCluster<T>& cluster() { return cluster_; }
-
-  /// Fermion halo wire precision. kHalf quantizes the ghost planes (the
-  /// zero other-parity ghosts round-trip exactly, so the Schur parity
-  /// invariant is preserved); gauge ghosts stay full precision.
-  void set_halo_precision(HaloPrecision p) {
-    cluster_.set_halo_precision(p);
-  }
-  [[nodiscard]] HaloPrecision halo_precision() const {
-    return cluster_.halo_precision();
-  }
-
-  /// Toggle the split-phase overlapped schedule (default on); results
-  /// are bit-identical either way.
-  void set_overlap(bool on) { overlap_ = on; }
-  [[nodiscard]] bool overlap() const { return overlap_; }
-  /// Accumulated phase timings; each half-volume sweep counts as one
-  /// overlapped apply.
-  [[nodiscard]] const OverlapStats& overlap_stats() const { return ov_; }
-  void reset_overlap_stats() { ov_.reset(); }
 
  private:
-  using RankFermion = typename VirtualCluster<T>::RankFermion;
-
-  /// One half-volume hop sweep: fill `target_parity` (global) sites of
-  /// dst with store(hop D src, aux site). Overlapped: begin, interior,
-  /// finish, surface.
-  template <typename Store>
-  void hop_stage(std::vector<RankFermion>& dst,
-                 std::vector<RankFermion>& src, int target_parity,
-                 const Store& store,
-                 const std::vector<RankFermion>* aux = nullptr) const {
-    const HaloLattice& halo = cluster_.halo();
-    if (!overlap_) {
-      cluster_.exchange(src);
-      run_sites(dst, src, target_parity, true, store, aux);
-      run_sites(dst, src, target_parity, false, store, aux);
-      return;
-    }
-    WallTimer t;
-    cluster_.exchange_begin(src);
-    ov_.t_begin_s += t.seconds();
-    t.start();
-    run_sites(dst, src, target_parity, true, store, aux);
-    ov_.t_interior_s += t.seconds();
-    t.start();
-    cluster_.exchange_finish(src);
-    ov_.t_finish_s += t.seconds();
-    t.start();
-    run_sites(dst, src, target_parity, false, store, aux);
-    ov_.t_surface_s += t.seconds();
-    std::int64_t n_int = 0;
-    std::int64_t n_surf = 0;
-    for (int r = 0; r < cluster_.ranks(); ++r) {
-      const int lp = (target_parity + cluster_.origin_parity(r)) & 1;
-      n_int += static_cast<std::int64_t>(halo.interior_sites(lp).size());
-      n_surf += static_cast<std::int64_t>(halo.surface_sites(lp).size());
-    }
-    ov_.applies += 1;
-    ov_.interior_sites += n_int;
-    ov_.surface_sites += n_surf;
-    if (telemetry::enabled()) {
-      static telemetry::Counter& c_applies =
-          telemetry::counter("comm.halo.overlap.applies");
-      static telemetry::Counter& c_int =
-          telemetry::counter("comm.halo.overlap.interior_sites");
-      static telemetry::Counter& c_surf =
-          telemetry::counter("comm.halo.overlap.surface_sites");
-      c_applies.add(1);
-      c_int.add(n_int);
-      c_surf.add(n_surf);
-    }
-  }
-
-  template <typename Store>
-  void run_sites(std::vector<RankFermion>& dst,
-                 const std::vector<RankFermion>& src, int target_parity,
-                 bool interior, const Store& store,
-                 const std::vector<RankFermion>* aux) const {
-    const HaloLattice& halo = cluster_.halo();
-    parallel_for(
-        static_cast<std::size_t>(cluster_.ranks()), [&](std::size_t r) {
-          // Local checkerboard whose global parity equals target_parity.
-          const int lp =
-              (target_parity + cluster_.origin_parity(static_cast<int>(r))) &
-              1;
-          const std::span<const std::int64_t> sites =
-              interior ? halo.interior_sites(lp) : halo.surface_sites(lp);
-          const RankFermion& psi = src[r];
-          const auto& ug = gauge_[r];
-          RankFermion& res = dst[r];
-          const RankFermion& a = aux != nullptr ? (*aux)[r] : src[r];
-          for (const std::int64_t i : sites) {
-            const Coord x = halo.interior_coords(i);
-            const auto xe =
-                static_cast<std::size_t>(halo.ext_index(x));
-            const WilsonSpinor<T> acc =
-                detail::dist_hop_site(x, psi, ug, halo);
-            store(res[xe], acc, a, xe);
-          }
-        });
-  }
-
-  VirtualCluster<T> cluster_;
-  std::vector<typename VirtualCluster<T>::RankGauge> gauge_;
-  mutable std::vector<RankFermion> psi_;
-  mutable std::vector<RankFermion> tmp_;
-  mutable std::vector<RankFermion> res_;
-  mutable std::vector<RankFermion> baux_;
-  T kappa_;
-  bool overlap_ = true;
-  mutable OverlapStats ov_;
+  mutable std::vector<typename VirtualCluster<T>::RankFermion> psi_;
+  mutable std::vector<typename VirtualCluster<T>::RankFermion> res_;
+  mutable std::vector<typename VirtualCluster<T>::RankFermion> baux_;
 };
 
 }  // namespace lqcd

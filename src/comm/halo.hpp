@@ -1,67 +1,45 @@
 #pragma once
-// Virtual cluster: a functional multi-rank domain decomposition running
-// inside one process.
+// Domain-decomposition vocabulary shared by every halo code path.
 //
 // Each rank owns a local sub-lattice stored with a depth-1 ghost frame
-// (the "halo"). The exchange is split-phase, the way a production dslash
-// drives MPI, and since PR 9 it runs over the lqcd::transport frame
-// layer: exchange_begin() packs every rank's boundary planes and posts
-// them as tagged frames through that rank's in-process transport
-// endpoint (push model: each rank sends its own faces); the fault
-// injector and CRC framing act at the frame layer, exactly where the
-// socket and shared-memory backends apply them. exchange_finish()
-// receives, verifies, retransmits and unpacks into the ghost frames. The
-// blocking exchange() is the composition of the two. Byte and message
-// counts are recorded — payload bytes and bytes-on-the-wire separately —
-// so the analytic network model can be cross-checked against the
-// functional path, framing overhead included.
+// (the "halo", HaloLattice). The exchange is split-phase, the way a
+// production dslash drives MPI: begin packs the rank's 8 boundary planes
+// and posts them as tagged frames through its lqcd::transport endpoint
+// (push model: each rank sends its own faces), finish receives,
+// verifies, retransmits and unpacks into the ghost frames. The fault
+// injector and CRC framing act at the frame layer, identically on the
+// in-process, socket and shared-memory backends. This header holds what
+// that exchange is made of: the halo layout and its interior/surface
+// overlap partition, the face walker every pack and unpack shares (the
+// bit-identity anchor of the wire format), the half-precision face
+// codec, the CommStats counters — payload bytes and bytes-on-the-wire
+// separately, so the analytic network model can be cross-checked against
+// the functional path, framing overhead included — and the OverlapStats
+// phase timings.
 //
-// DistributedWilsonOperator applies the full Wilson matrix through this
-// machinery with communication/computation overlap: sites at least one
-// step away from every local face ("interior" in the overlap sense) only
-// read resident data, so they are computed between begin and finish; the
-// remaining "surface" sites follow once the ghosts are filled. The result
-// is bit-identical to the sequential schedule by construction — the
-// per-site arithmetic is shared, only the order differs — and is
-// validated bit-for-bit against the single-domain operator: the
-// correctness anchor for every scaling claim in the bench harness.
-//
-// The SPMD sibling of this class — one rank per real process over the
-// socket or shared-memory backend — is RankCluster in
-// comm/transport/rank_halo.hpp; it shares the pack/unpack traversal and
-// per-site arithmetic below, which is what makes the N-process runs
-// bit-identical to this one.
+// There is one implementation of the exchange and of the distributed
+// Wilson and Schur operators, the SPMD one in comm/transport/rank_halo.hpp
+// (included at the bottom, so this header gives the whole API):
+// RankCluster is one rank, RankWilsonOperator / RankSchurWilsonOperator
+// run on it, and VirtualCluster / DistributedWilsonOperator run N of them
+// in one process on the in-process transport.
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "comm/fault.hpp"
-#include "comm/process_grid.hpp"
 #include "comm/transport/transport.hpp"
 #include "dirac/compressed.hpp"
-#include "dirac/operator.hpp"
-#include "dirac/wilson.hpp"
 #include "gauge/gauge_field.hpp"
 #include "lattice/field.hpp"
-#include "linalg/gamma.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/aligned.hpp"
-#include "util/crc32.hpp"
 #include "util/error.hpp"
-#include "util/telemetry.hpp"
-#include "util/timer.hpp"
 
 namespace lqcd {
 
@@ -193,60 +171,75 @@ struct CommStats {
 
 namespace detail {
 
+/// The CommStats counters that add up over ranks — every integer field
+/// but the collective `exchanges` — with the telemetry counter each rank
+/// books its share into.
+struct RankCounter {
+  std::int64_t CommStats::*field;
+  const char* telemetry;
+};
+inline constexpr std::array<RankCounter, 11> kRankCounters{{
+    {&CommStats::messages, "comm.halo.messages"},
+    {&CommStats::bytes, "comm.halo.bytes"},
+    {&CommStats::wire_bytes, "comm.halo.wire_bytes"},
+    {&CommStats::wire_frames, "comm.halo.wire_frames"},
+    {&CommStats::retransmits, "comm.halo.retransmits"},
+    {&CommStats::crc_failures, "comm.halo.crc_failures"},
+    {&CommStats::timeouts, "comm.halo.timeouts"},
+    {&CommStats::checksum_bytes, "comm.halo.checksum_bytes"},
+    {&CommStats::straggler_events, "comm.halo.straggler_events"},
+    {&CommStats::full_equiv_bytes, "comm.halo.full_equiv_bytes"},
+    {&CommStats::compressed_frames, "comm.halo.compressed_frames"},
+}};
+
+/// Visit the plane x[mu] = coord of a haloed field: visit(k, e) for the
+/// k-th site of the plane, e its extended index. The fixed x3..x0 order
+/// is the bit-identity anchor every backend shares: as long as pack and
+/// unpack walk the plane this way, ghost bytes — and frame CRCs — are
+/// identical on the virtual, socket and shm paths.
+template <typename Visit>
+void walk_face(const HaloLattice& halo, int mu, int coord, Visit&& visit) {
+  Coord n = halo.local_dims();
+  n[mu] = 1;
+  std::size_t k = 0;
+  Coord x{};
+  for (x[3] = 0; x[3] < n[3]; ++x[3])
+    for (x[2] = 0; x[2] < n[2]; ++x[2])
+      for (x[1] = 0; x[1] < n[1]; ++x[1])
+        for (x[0] = 0; x[0] < n[0]; ++x[0]) {
+          Coord y = x;
+          y[mu] = coord;
+          visit(k++, static_cast<std::size_t>(halo.ext_index(y)));
+        }
+}
+
 /// Pack the boundary plane of `field` orthogonal to mu at x[mu] =
 /// src_coord into a byte payload (site-wise memcpy: one flat message
-/// buffer regardless of site type). The fixed x3..x0 traversal is the
-/// bit-identity anchor every backend shares: as long as pack and unpack
-/// agree on it, ghost bytes are identical on the virtual, socket and shm
-/// paths.
+/// buffer regardless of site type).
 template <typename SiteT>
 void pack_face(std::vector<std::byte>& out,
                const std::vector<SiteT, AlignedAllocator<SiteT>>& field,
                const HaloLattice& halo, int mu, int src_coord) {
-  const Coord& l = halo.local_dims();
   out.resize(static_cast<std::size_t>(halo.face_volume(mu)) *
              sizeof(SiteT));
-  std::size_t k = 0;
-  Coord x{};
-  for (x[3] = 0; x[3] < l[3]; ++x[3])
-    for (x[2] = 0; x[2] < l[2]; ++x[2])
-      for (x[1] = 0; x[1] < l[1]; ++x[1])
-        for (x[0] = 0; x[0] < l[0]; ++x[0]) {
-          if (x[mu] != 0) continue;  // iterate the face once
-          Coord src = x;
-          src[mu] = src_coord;
-          std::memcpy(
-              out.data() + k * sizeof(SiteT),
-              &field[static_cast<std::size_t>(halo.ext_index(src))],
-              sizeof(SiteT));
-          ++k;
-        }
+  walk_face(halo, mu, src_coord, [&](std::size_t k, std::size_t e) {
+    std::memcpy(out.data() + k * sizeof(SiteT), &field[e], sizeof(SiteT));
+  });
 }
 
-/// Unpack a payload into the ghost plane at x[mu] = ghost_coord, same
-/// traversal order as the pack.
+/// Unpack a payload into the ghost plane at x[mu] = ghost_coord.
 template <typename SiteT>
 void unpack_face(std::vector<SiteT, AlignedAllocator<SiteT>>& field,
                  std::span<const std::byte> payload, const HaloLattice& halo,
                  int mu, int ghost_coord) {
-  const Coord& l = halo.local_dims();
   LQCD_REQUIRE(payload.size() ==
                    static_cast<std::size_t>(halo.face_volume(mu)) *
                        sizeof(SiteT),
                "halo unpack: face payload size mismatch");
-  std::size_t k = 0;
-  Coord x{};
-  for (x[3] = 0; x[3] < l[3]; ++x[3])
-    for (x[2] = 0; x[2] < l[2]; ++x[2])
-      for (x[1] = 0; x[1] < l[1]; ++x[1])
-        for (x[0] = 0; x[0] < l[0]; ++x[0]) {
-          if (x[mu] != 0) continue;
-          Coord dst = x;
-          dst[mu] = ghost_coord;
-          std::memcpy(&field[static_cast<std::size_t>(halo.ext_index(dst))],
-                      payload.data() + k * sizeof(SiteT), sizeof(SiteT));
-          ++k;
-        }
+  walk_face(halo, mu, ghost_coord, [&](std::size_t k, std::size_t e) {
+    std::memcpy(&field[e], payload.data() + k * sizeof(SiteT),
+                sizeof(SiteT));
+  });
 }
 
 // --- half-precision face codec -------------------------------------------
@@ -308,29 +301,16 @@ inline void decode_half_site(WilsonSpinor<T>& out, const std::byte* src) {
   std::memcpy(&out, comp, sizeof(comp));
 }
 
-/// pack_face twin that emits int16 block-float sites — same fixed x3..x0
-/// traversal, so compressed ghost bytes are identical on every backend.
+/// pack_face twin that emits int16 block-float sites.
 template <typename T>
 void pack_face_half(std::vector<std::byte>& out,
                     const aligned_vector<WilsonSpinor<T>>& field,
                     const HaloLattice& halo, int mu, int src_coord) {
-  const Coord& l = halo.local_dims();
   out.resize(static_cast<std::size_t>(halo.face_volume(mu)) *
              kHalfSiteBytes);
-  std::size_t k = 0;
-  Coord x{};
-  for (x[3] = 0; x[3] < l[3]; ++x[3])
-    for (x[2] = 0; x[2] < l[2]; ++x[2])
-      for (x[1] = 0; x[1] < l[1]; ++x[1])
-        for (x[0] = 0; x[0] < l[0]; ++x[0]) {
-          if (x[mu] != 0) continue;
-          Coord src = x;
-          src[mu] = src_coord;
-          encode_half_site(
-              out.data() + k * kHalfSiteBytes,
-              field[static_cast<std::size_t>(halo.ext_index(src))]);
-          ++k;
-        }
+  walk_face(halo, mu, src_coord, [&](std::size_t k, std::size_t e) {
+    encode_half_site(out.data() + k * kHalfSiteBytes, field[e]);
+  });
 }
 
 /// unpack_face twin for compressed payloads: dequantizes straight into
@@ -339,25 +319,13 @@ template <typename T>
 void unpack_face_half(aligned_vector<WilsonSpinor<T>>& field,
                       std::span<const std::byte> payload,
                       const HaloLattice& halo, int mu, int ghost_coord) {
-  const Coord& l = halo.local_dims();
   LQCD_REQUIRE(payload.size() ==
                    static_cast<std::size_t>(halo.face_volume(mu)) *
                        kHalfSiteBytes,
                "halo unpack: compressed face payload size mismatch");
-  std::size_t k = 0;
-  Coord x{};
-  for (x[3] = 0; x[3] < l[3]; ++x[3])
-    for (x[2] = 0; x[2] < l[2]; ++x[2])
-      for (x[1] = 0; x[1] < l[1]; ++x[1])
-        for (x[0] = 0; x[0] < l[0]; ++x[0]) {
-          if (x[mu] != 0) continue;
-          Coord dst = x;
-          dst[mu] = ghost_coord;
-          decode_half_site(
-              field[static_cast<std::size_t>(halo.ext_index(dst))],
-              payload.data() + k * kHalfSiteBytes);
-          ++k;
-        }
+  walk_face(halo, mu, ghost_coord, [&](std::size_t k, std::size_t e) {
+    decode_half_site(field[e], payload.data() + k * kHalfSiteBytes);
+  });
 }
 
 /// Only fermion faces compress; gauge (LinkSite) setup exchanges always
@@ -431,531 +399,11 @@ inline void merge_wire_delta(CommStats& dst, const transport::WireStats& now,
 
 }  // namespace detail
 
-/// A lattice decomposed over a virtual process grid, with resident
-/// per-rank fermion and gauge storage. All ranks live in this process;
-/// their endpoints share one in-process transport hub.
-template <typename T>
-class VirtualCluster {
- public:
-  VirtualCluster(const LatticeGeometry& global, const ProcessGrid& grid)
-      : global_(&global),
-        grid_(grid),
-        local_dims_(grid.local_dims(global.dims())),
-        halo_(local_dims_),
-        eps_(transport::make_inprocess_group(grid.size())),
-        wire_base_(static_cast<std::size_t>(grid.size())) {
-    origins_.resize(static_cast<std::size_t>(grid_.size()));
-    for (int r = 0; r < grid_.size(); ++r) {
-      const Coord rc = grid_.coords_of(r);
-      for (int mu = 0; mu < Nd; ++mu)
-        origins_[static_cast<std::size_t>(r)][mu] =
-            rc[mu] * local_dims_[mu];
-    }
-  }
-
-  [[nodiscard]] const LatticeGeometry& global_geometry() const {
-    return *global_;
-  }
-  [[nodiscard]] const ProcessGrid& grid() const { return grid_; }
-  [[nodiscard]] const HaloLattice& halo() const { return halo_; }
-  [[nodiscard]] int ranks() const { return grid_.size(); }
-  [[nodiscard]] const Coord& origin(int rank) const {
-    return origins_[static_cast<std::size_t>(rank)];
-  }
-  /// Checkerboard parity of rank's origin: a rank-local site's global
-  /// parity is its local parity XOR this.
-  [[nodiscard]] int origin_parity(int rank) const {
-    const Coord& o = origins_[static_cast<std::size_t>(rank)];
-    return static_cast<int>((o[0] + o[1] + o[2] + o[3]) & 1);
-  }
-  [[nodiscard]] CommStats& stats() const { return stats_; }
-
-  /// Enable/disable the hardened transport (CRC framing + retransmit).
-  void set_resilience(const ResilienceConfig& rc) {
-    resil_ = rc;
-    for (auto& ep : eps_) ep->set_resilience(rc);
-  }
-  [[nodiscard]] const ResilienceConfig& resilience() const { return resil_; }
-  /// Attach a fault injector (not owned; nullptr detaches). The injector
-  /// perturbs frames in transit; with checksums enabled the exchange
-  /// detects and retransmits, without them corruption flows through
-  /// silently — exactly the trade bench_resilience quantifies.
-  void set_fault_injector(FaultInjector* fi) {
-    injector_ = fi;
-    for (auto& ep : eps_) ep->set_fault_injector(fi);
-  }
-  [[nodiscard]] FaultInjector* fault_injector() const { return injector_; }
-
-  /// Emulate a shared wire of the given bandwidth (bytes/second): each
-  /// exchange sleeps for its wire-byte total at that rate, on top of
-  /// the in-process copy cost. The in-process hub moves frames at
-  /// memcpy speed, which hides every bandwidth effect the α–β model
-  /// (and a real NIC) charges for — with emulation on, wall-clock
-  /// exchange time becomes a function of bytes actually framed, so
-  /// wire-precision and payload changes are measurable. The slept time
-  /// is also charged to CommStats::modeled_delay_us. 0 disables
-  /// (default, and the only mode the bit-identity tests run in).
-  void set_wire_emulation(double bytes_per_second) {
-    wire_emulation_bps_ = bytes_per_second;
-  }
-  [[nodiscard]] double wire_emulation() const { return wire_emulation_bps_; }
-
-  /// Wire precision for fermion halo faces (gauge faces are always
-  /// full). Takes effect at the next exchange_begin(); an in-flight
-  /// exchange keeps the precision it was begun with.
-  void set_halo_precision(HaloPrecision p) {
-    LQCD_REQUIRE(pending_.phase == ExchangePhase::kIdle,
-                 "set_halo_precision: exchange in flight");
-    halo_precision_ = p;
-  }
-  [[nodiscard]] HaloPrecision halo_precision() const {
-    return halo_precision_;
-  }
-
-  /// Per-rank fermion storage on the extended (haloed) volume.
-  using RankFermion = aligned_vector<WilsonSpinor<T>>;
-  /// Per-rank gauge storage on the extended volume.
-  using RankGauge = aligned_vector<LinkSite<T>>;
-
-  [[nodiscard]] std::vector<RankFermion> make_fermion() const {
-    return std::vector<RankFermion>(
-        static_cast<std::size_t>(ranks()),
-        RankFermion(static_cast<std::size_t>(halo_.extended_volume())));
-  }
-
-  /// Distribute a global checkerboard-layout fermion field.
-  void scatter(std::vector<RankFermion>& dst,
-               std::span<const WilsonSpinor<T>> src) const {
-    LQCD_REQUIRE(src.size() == static_cast<std::size_t>(global_->volume()),
-                 "scatter: global field size");
-    for_each_rank([&](int r) {
-      RankFermion& loc = dst[static_cast<std::size_t>(r)];
-      for (std::int64_t i = 0; i < halo_.interior_volume(); ++i) {
-        const Coord xl = halo_.interior_coords(i);
-        loc[static_cast<std::size_t>(halo_.ext_index(xl))] =
-            src[static_cast<std::size_t>(global_->cb_index(
-                global_coords(r, xl)))];
-      }
-    });
-  }
-
-  /// Collect rank-local interiors back into a global field.
-  void gather(std::span<WilsonSpinor<T>> dst,
-              const std::vector<RankFermion>& src) const {
-    LQCD_REQUIRE(dst.size() == static_cast<std::size_t>(global_->volume()),
-                 "gather: global field size");
-    for_each_rank([&](int r) {
-      const RankFermion& loc = src[static_cast<std::size_t>(r)];
-      for (std::int64_t i = 0; i < halo_.interior_volume(); ++i) {
-        const Coord xl = halo_.interior_coords(i);
-        dst[static_cast<std::size_t>(
-            global_->cb_index(global_coords(r, xl)))] =
-            loc[static_cast<std::size_t>(halo_.ext_index(xl))];
-      }
-    });
-  }
-
-  /// Distribute one checkerboard block of a global field (half volume,
-  /// cb layout: index 0 of block `parity` is that parity's first site)
-  /// into the matching rank-local sites. Sites of the other parity keep
-  /// their current values — callers reuse zero-initialized rank storage
-  /// so those stay deterministically zero.
-  void scatter_parity(std::vector<RankFermion>& dst,
-                      std::span<const WilsonSpinor<T>> src,
-                      int parity) const {
-    const std::int64_t hv = global_->half_volume();
-    LQCD_REQUIRE(src.size() == static_cast<std::size_t>(hv),
-                 "scatter_parity: half-volume field size");
-    const std::int64_t base = parity == 0 ? 0 : hv;
-    for_each_rank([&](int r) {
-      RankFermion& loc = dst[static_cast<std::size_t>(r)];
-      for (std::int64_t i = 0; i < halo_.interior_volume(); ++i) {
-        const Coord xl = halo_.interior_coords(i);
-        const std::int64_t cb = global_->cb_index(global_coords(r, xl));
-        if ((cb >= hv ? 1 : 0) != parity) continue;
-        loc[static_cast<std::size_t>(halo_.ext_index(xl))] =
-            src[static_cast<std::size_t>(cb - base)];
-      }
-    });
-  }
-
-  /// Collect one parity's rank-local sites into a half-volume cb block.
-  void gather_parity(std::span<WilsonSpinor<T>> dst,
-                     const std::vector<RankFermion>& src,
-                     int parity) const {
-    const std::int64_t hv = global_->half_volume();
-    LQCD_REQUIRE(dst.size() == static_cast<std::size_t>(hv),
-                 "gather_parity: half-volume field size");
-    const std::int64_t base = parity == 0 ? 0 : hv;
-    for_each_rank([&](int r) {
-      const RankFermion& loc = src[static_cast<std::size_t>(r)];
-      for (std::int64_t i = 0; i < halo_.interior_volume(); ++i) {
-        const Coord xl = halo_.interior_coords(i);
-        const std::int64_t cb = global_->cb_index(global_coords(r, xl));
-        if ((cb >= hv ? 1 : 0) != parity) continue;
-        dst[static_cast<std::size_t>(cb - base)] =
-            loc[static_cast<std::size_t>(halo_.ext_index(xl))];
-      }
-    });
-  }
-
-  /// Distribute a gauge field and fill its ghost links (one-time setup
-  /// exchange, as a production code does after loading a configuration).
-  [[nodiscard]] std::vector<RankGauge> scatter_gauge(
-      const GaugeField<T>& u) const {
-    std::vector<RankGauge> out(
-        static_cast<std::size_t>(ranks()),
-        RankGauge(static_cast<std::size_t>(halo_.extended_volume())));
-    for_each_rank([&](int r) {
-      RankGauge& loc = out[static_cast<std::size_t>(r)];
-      for (std::int64_t i = 0; i < halo_.interior_volume(); ++i) {
-        const Coord xl = halo_.interior_coords(i);
-        loc[static_cast<std::size_t>(halo_.ext_index(xl))] =
-            u.site(global_->cb_index(global_coords(r, xl)));
-      }
-    });
-    exchange_gauge(out);
-    return out;
-  }
-
-  /// Blocking halo exchange for a fermion field: the composition of
-  /// exchange_begin() and exchange_finish().
-  void exchange(std::vector<RankFermion>& f) const {
-    begin_impl<WilsonSpinor<T>>(f, /*split=*/false);
-    finish_impl<WilsonSpinor<T>>(f);
-  }
-
-  /// Phase 1 of the split exchange: every rank packs its 8 boundary
-  /// planes and posts them as tagged frames through its transport
-  /// endpoint (fault injection and CRC framing act per frame). After
-  /// this call the boundary planes of `f` may not be modified until
-  /// exchange_finish(). Interior (overlap-partition) sites are free to
-  /// be read and written.
-  void exchange_begin(std::vector<RankFermion>& f) const {
-    begin_impl<WilsonSpinor<T>>(f, /*split=*/true);
-  }
-
-  /// Phase 2: receive, verify, retransmit on detected faults, and unpack
-  /// into the ghost frames. Must follow an exchange_begin() on the same
-  /// field.
-  void exchange_finish(std::vector<RankFermion>& f) const {
-    finish_impl<WilsonSpinor<T>>(f);
-  }
-
-  /// True between exchange_begin() and exchange_finish().
-  [[nodiscard]] bool exchange_in_flight() const noexcept {
-    return pending_.phase == ExchangePhase::kBegun;
-  }
-
-  /// Halo exchange for gauge ghosts.
-  void exchange_gauge(std::vector<RankGauge>& g) const {
-    begin_impl<LinkSite<T>>(g, /*split=*/false);
-    finish_impl<LinkSite<T>>(g);
-  }
-
-  /// Global coordinate of rank-local coordinate xl (periodic wrap).
-  [[nodiscard]] Coord global_coords(int rank, const Coord& xl) const {
-    Coord xg{};
-    const Coord& o = origins_[static_cast<std::size_t>(rank)];
-    for (int mu = 0; mu < Nd; ++mu)
-      xg[mu] = (o[mu] + xl[mu] + global_->dim(mu)) % global_->dim(mu);
-    return xg;
-  }
-
- private:
-  template <typename F>
-  void for_each_rank(F&& body) const {
-    parallel_for(static_cast<std::size_t>(ranks()),
-                 [&](std::size_t r) { body(static_cast<int>(r)); });
-  }
-
-  enum class ExchangePhase { kIdle, kBegun };
-
-  /// Split-exchange bookkeeping. Written only outside the parallel
-  /// regions.
-  struct PendingExchange {
-    ExchangePhase phase = ExchangePhase::kIdle;
-    const void* field = nullptr;  ///< identity guard for finish()
-    std::size_t site_bytes = 0;   ///< site-type guard for finish()
-    std::uint64_t epoch = 0;
-    bool split = false;  ///< driven via the public begin/finish pair
-    /// Wire precision this exchange was begun with; finish must unpack
-    /// with the same codec even if the knob moves in between.
-    HaloPrecision precision = HaloPrecision::kFull;
-    CommStats before;  ///< telemetry delta base, snapshot at begin
-  };
-
-  void merge_stats(const CommStats& local) const {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.straggler_events += local.straggler_events;
-    stats_.modeled_delay_us += local.modeled_delay_us;
-  }
-
-  /// Fold every endpoint's wire-counter delta into stats_. Called after
-  /// the parallel region joins (success and abort paths), so the counters
-  /// survive a thrown exchange and the next delta starts clean.
-  void harvest_wire() const {
-    for (int r = 0; r < ranks(); ++r)
-      detail::merge_wire_delta(
-          stats_, eps_[static_cast<std::size_t>(r)]->wire_stats(),
-          wire_base_[static_cast<std::size_t>(r)]);
-  }
-
-  /// Discard undelivered frames after an aborted exchange: the epoch
-  /// (and so every tag) is reused on retry, and stale frames must not
-  /// satisfy the retried receives.
-  void drain_all() const {
-    for (auto& ep : eps_) ep->drain();
-  }
-
-  /// Drop the in-flight state.
-  void reset_pending() const {
-    pending_.phase = ExchangePhase::kIdle;
-    pending_.field = nullptr;
-    pending_.site_bytes = 0;
-    pending_.split = false;
-  }
-
-  // Push model over the transport frame layer: every rank sends its own
-  // boundary plane (mu, dir-facing) to the neighbor whose (mu, dir)
-  // ghost it fills, tagged (epoch, mu, dir). The injector keys on the
-  // RECEIVER's rank decoded from the tag, so the schedule is identical
-  // to the historical pull formulation — and to the socket/shm backends,
-  // which run this exact frame path over a real wire. begin posts
-  // attempt 0 of every frame; finish runs the verify/retransmit protocol
-  // (in the transport base class) and unpacks.
-
-  template <typename SiteT>
-  void begin_impl(std::vector<std::vector<SiteT, AlignedAllocator<SiteT>>>&
-                      field,
-                  bool split) const {
-    LQCD_REQUIRE(pending_.phase == ExchangePhase::kIdle,
-                 "halo exchange_begin: an exchange is already in flight "
-                 "(double begin)");
-    pending_.phase = ExchangePhase::kBegun;
-    pending_.field = &field;
-    pending_.site_bytes = sizeof(SiteT);
-    pending_.epoch = static_cast<std::uint64_t>(stats_.exchanges);
-    pending_.split = split;
-    pending_.precision = halo_precision_;
-    pending_.before = stats_;
-    const std::uint64_t epoch = pending_.epoch;
-    const HaloPrecision prec = pending_.precision;
-    try {
-      for_each_rank([&](int r) {
-        CommStats local;  // straggle tally, merged once under the lock
-        if (injector_ != nullptr) {
-          if (injector_->should_kill(epoch, r)) {
-            injector_->record_kill();
-            throw TransientError("halo exchange: rank " +
-                                 std::to_string(r) + " died at epoch " +
-                                 std::to_string(epoch));
-          }
-          const double stall = injector_->straggle_us(epoch, r);
-          if (stall > 0.0) {
-            local.straggler_events += 1;
-            local.modeled_delay_us += stall;
-          }
-        }
-        transport::Transport& tp = *eps_[static_cast<std::size_t>(r)];
-        std::vector<std::byte> buf;
-        for (int mu = 0; mu < Nd; ++mu) {
-          for (int dir = -1; dir <= 1; dir += 2) {
-            // Our plane at x[mu] = 0 (dir=+1) or l-1 (dir=-1) fills the
-            // (mu, dir) ghost of the rank one step the *other* way.
-            const int dst = grid_.neighbor(r, mu, -dir);
-            const int src_coord = dir > 0 ? 0 : local_dims_[mu] - 1;
-            detail::pack_face_prec(buf, field[static_cast<std::size_t>(r)],
-                                   halo_, mu, src_coord, prec);
-            tp.send(dst, transport::make_halo_tag(epoch, mu, dir), buf);
-          }
-        }
-        merge_stats(local);
-      });
-    } catch (...) {
-      drain_all();  // stale frames must not serve the retried epoch
-      harvest_wire();
-      reset_pending();
-      throw;
-    }
-    harvest_wire();
-  }
-
-  template <typename SiteT>
-  void finish_impl(std::vector<std::vector<SiteT, AlignedAllocator<SiteT>>>&
-                       field) const {
-    LQCD_REQUIRE(pending_.phase == ExchangePhase::kBegun,
-                 "halo exchange_finish without a matching exchange_begin");
-    LQCD_REQUIRE(pending_.field == static_cast<const void*>(&field),
-                 "halo exchange_finish: field does not match "
-                 "exchange_begin");
-    LQCD_REQUIRE(pending_.site_bytes == sizeof(SiteT),
-                 "halo exchange_finish: site type does not match "
-                 "exchange_begin");
-    const Coord& l = local_dims_;
-    const std::uint64_t epoch = pending_.epoch;
-    const HaloPrecision prec = pending_.precision;
-    try {
-      for_each_rank([&](int r) {
-        transport::Transport& tp = *eps_[static_cast<std::size_t>(r)];
-        std::vector<std::byte> buf;
-        for (int mu = 0; mu < Nd; ++mu) {
-          for (int dir = -1; dir <= 1; dir += 2) {
-            const int src = grid_.neighbor(r, mu, dir);
-            tp.recv(src, transport::make_halo_tag(epoch, mu, dir), buf);
-            const int ghost_coord = dir > 0 ? l[mu] : -1;
-            detail::unpack_face_prec(field[static_cast<std::size_t>(r)],
-                                     buf, halo_, mu, ghost_coord, prec);
-          }
-        }
-      });
-    } catch (...) {
-      drain_all();
-      harvest_wire();
-      reset_pending();
-      throw;
-    }
-    harvest_wire();
-    const CommStats before = pending_.before;
-    const bool split = pending_.split;
-    reset_pending();
-    stats_.exchanges += 1;
-    stats_.full_equiv_bytes +=
-        ranks() * detail::face_payload_bytes<SiteT>(halo_,
-                                                    HaloPrecision::kFull);
-    if constexpr (detail::is_spinor_site_v<SiteT>) {
-      if (prec == HaloPrecision::kHalf)
-        stats_.compressed_frames += ranks() * 2 * Nd;
-    }
-    if (wire_emulation_bps_ > 0.0) {
-      const double us =
-          static_cast<double>(stats_.wire_bytes - before.wire_bytes) /
-          wire_emulation_bps_ * 1e6;
-      stats_.modeled_delay_us += us;
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::micro>(us));
-    }
-    if (telemetry::enabled()) {
-      static telemetry::Counter& c_exchanges =
-          telemetry::counter("comm.halo.exchanges");
-      static telemetry::Counter& c_messages =
-          telemetry::counter("comm.halo.messages");
-      static telemetry::Counter& c_bytes =
-          telemetry::counter("comm.halo.bytes");
-      static telemetry::Counter& c_wire_bytes =
-          telemetry::counter("comm.halo.wire_bytes");
-      static telemetry::Counter& c_wire_frames =
-          telemetry::counter("comm.halo.wire_frames");
-      static telemetry::Counter& c_retransmits =
-          telemetry::counter("comm.halo.retransmits");
-      static telemetry::Counter& c_crc_failures =
-          telemetry::counter("comm.halo.crc_failures");
-      static telemetry::Counter& c_timeouts =
-          telemetry::counter("comm.halo.timeouts");
-      static telemetry::Counter& c_checksum_bytes =
-          telemetry::counter("comm.halo.checksum_bytes");
-      static telemetry::Counter& c_stragglers =
-          telemetry::counter("comm.halo.straggler_events");
-      static telemetry::Counter& c_split =
-          telemetry::counter("comm.halo.overlap.split_exchanges");
-      static telemetry::Counter& c_full_equiv =
-          telemetry::counter("comm.halo.full_equiv_bytes");
-      static telemetry::Counter& c_compressed =
-          telemetry::counter("comm.halo.compressed_frames");
-      c_exchanges.add(1);
-      c_messages.add(stats_.messages - before.messages);
-      c_bytes.add(stats_.bytes - before.bytes);
-      c_wire_bytes.add(stats_.wire_bytes - before.wire_bytes);
-      c_wire_frames.add(stats_.wire_frames - before.wire_frames);
-      c_retransmits.add(stats_.retransmits - before.retransmits);
-      c_crc_failures.add(stats_.crc_failures - before.crc_failures);
-      c_timeouts.add(stats_.timeouts - before.timeouts);
-      c_checksum_bytes.add(stats_.checksum_bytes - before.checksum_bytes);
-      c_stragglers.add(stats_.straggler_events - before.straggler_events);
-      c_full_equiv.add(stats_.full_equiv_bytes - before.full_equiv_bytes);
-      c_compressed.add(stats_.compressed_frames -
-                       before.compressed_frames);
-      if (split) c_split.add(1);
-    }
-  }
-
-  const LatticeGeometry* global_;
-  ProcessGrid grid_;
-  Coord local_dims_;
-  HaloLattice halo_;
-  std::vector<Coord> origins_;
-  mutable std::vector<std::unique_ptr<transport::Transport>> eps_;
-  mutable std::vector<transport::WireStats> wire_base_;
-  mutable CommStats stats_;
-  mutable std::mutex stats_mutex_;
-  mutable PendingExchange pending_;
-  ResilienceConfig resil_;
-  FaultInjector* injector_ = nullptr;
-  HaloPrecision halo_precision_ = HaloPrecision::kFull;
-  double wire_emulation_bps_ = 0.0;
-};
-
-namespace detail {
-
-/// One direction of the Wilson hopping term on a haloed rank-local field:
-/// forward (project -1, U(x) hop from x+mu) then backward (project +1,
-/// U†(x-mu) hop from x-mu), accumulated into acc. Shared by the full and
-/// the even-odd distributed operators so both stay bit-identical to their
-/// single-domain counterparts.
-template <int Mu, typename T>
-inline void dist_accum_hop(WilsonSpinor<T>& acc, const Coord& x,
-                           const aligned_vector<WilsonSpinor<T>>& psi,
-                           const aligned_vector<LinkSite<T>>& ug,
-                           const HaloLattice& halo) {
-  Coord xp = x;
-  ++xp[Mu];
-  Coord xm = x;
-  --xm[Mu];
-  const std::int64_t xpe = halo.ext_index(xp);
-  const std::int64_t xme = halo.ext_index(xm);
-  const std::int64_t xe0 = halo.ext_index(x);
-  {
-    const HalfSpinor<T> h =
-        project<Mu, -1>(psi[static_cast<std::size_t>(xpe)]);
-    const ColorMatrix<T>& u =
-        ug[static_cast<std::size_t>(xe0)][static_cast<std::size_t>(Mu)];
-    HalfSpinor<T> uh;
-    uh.s[0] = mul(u, h.s[0]);
-    uh.s[1] = mul(u, h.s[1]);
-    accum_reconstruct<Mu, -1>(acc, uh);
-  }
-  {
-    const HalfSpinor<T> h =
-        project<Mu, +1>(psi[static_cast<std::size_t>(xme)]);
-    const ColorMatrix<T>& u =
-        ug[static_cast<std::size_t>(xme)][static_cast<std::size_t>(Mu)];
-    HalfSpinor<T> uh;
-    uh.s[0] = adj_mul(u, h.s[0]);
-    uh.s[1] = adj_mul(u, h.s[1]);
-    accum_reconstruct<Mu, +1>(acc, uh);
-  }
-}
-
-/// Full 8-point hop sum D psi at local coordinate x (kappa not applied).
-template <typename T>
-[[nodiscard]] inline WilsonSpinor<T> dist_hop_site(
-    const Coord& x, const aligned_vector<WilsonSpinor<T>>& psi,
-    const aligned_vector<LinkSite<T>>& ug, const HaloLattice& halo) {
-  WilsonSpinor<T> acc{};
-  dist_accum_hop<0>(acc, x, psi, ug, halo);
-  dist_accum_hop<1>(acc, x, psi, ug, halo);
-  dist_accum_hop<2>(acc, x, psi, ug, halo);
-  dist_accum_hop<3>(acc, x, psi, ug, halo);
-  return acc;
-}
-
-}  // namespace detail
-
 /// Measured wall-clock decomposition of overlapped applies, accumulated
-/// across calls. Phase times are real (the rank loop runs through the
-/// thread pool inside each phase); t_hidden_s() is the comm time a
-/// machine with asynchronous progress would hide behind the interior
-/// window — the quantity model_dslash prices as `hidden`.
+/// across calls. Phase times are real (each phase runs as one fork-join
+/// region over every rank the caller drives); t_hidden_s() is the comm
+/// time a machine with asynchronous progress would hide behind the
+/// interior window — the quantity model_dslash prices as `hidden`.
 struct OverlapStats {
   std::int64_t applies = 0;
   std::int64_t interior_sites = 0;  ///< summed over ranks and applies
@@ -986,157 +434,8 @@ struct OverlapStats {
   void reset() { *this = OverlapStats{}; }
 };
 
-/// Full Wilson operator evaluated through the virtual cluster. Implements
-/// LinearOperator on *global* fields (scatter/exchange/compute/gather), so
-/// any solver in the library runs "distributed" unchanged and must produce
-/// identical iterates to the single-domain operator. By default the halo
-/// exchange is split-phase and overlapped with the interior compute;
-/// set_overlap(false) restores the sequential schedule (same bits).
-template <typename T>
-class DistributedWilsonOperator final : public LinearOperator<T> {
- public:
-  DistributedWilsonOperator(const GaugeField<T>& u, double kappa,
-                            const ProcessGrid& grid,
-                            TimeBoundary bc = TimeBoundary::Antiperiodic)
-      : cluster_(u.geometry(), grid), kappa_(static_cast<T>(kappa)) {
-    LQCD_REQUIRE(kappa > 0.0 && kappa < 0.25, "kappa out of (0, 0.25)");
-    const GaugeField<T> links = make_fermion_links(u, bc);
-    gauge_ = cluster_.scatter_gauge(links);
-    in_ranks_ = cluster_.make_fermion();
-    out_ranks_ = cluster_.make_fermion();
-  }
-
-  void apply(std::span<WilsonSpinor<T>> out,
-             std::span<const WilsonSpinor<T>> in) const override {
-    if (telemetry::enabled()) {
-      static telemetry::Counter& c_applies =
-          telemetry::counter("dslash.applies");
-      static telemetry::Counter& c_sites =
-          telemetry::counter("dslash.site_applies");
-      c_applies.add(1);
-      c_sites.add(cluster_.global_geometry().volume());
-    }
-    cluster_.scatter(in_ranks_, in);
-    if (overlap_)
-      apply_overlapped();
-    else
-      apply_blocking();
-    cluster_.gather(out, out_ranks_);
-  }
-
-  [[nodiscard]] std::int64_t vector_size() const override {
-    return cluster_.global_geometry().volume();
-  }
-  [[nodiscard]] double flops_per_apply() const override {
-    return static_cast<double>(vector_size()) * (kDslashFlopsPerSite + 48.0);
-  }
-  [[nodiscard]] const VirtualCluster<T>& cluster() const { return cluster_; }
-  /// Mutable access for attaching resilience config / fault injection.
-  [[nodiscard]] VirtualCluster<T>& cluster() { return cluster_; }
-
-  /// Wire precision of the fermion halo (the gauge ghosts filled at
-  /// construction stay full precision). kHalf quantizes ghost planes to
-  /// int16 block float, so results are no longer bit-identical to the
-  /// single-domain operator — the trade bench_precision quantifies.
-  void set_halo_precision(HaloPrecision p) {
-    cluster_.set_halo_precision(p);
-  }
-  [[nodiscard]] HaloPrecision halo_precision() const {
-    return cluster_.halo_precision();
-  }
-
-  /// Toggle the split-phase overlapped schedule (default on). Both
-  /// schedules run the same per-site arithmetic, so results are
-  /// bit-identical; only wall-clock structure differs.
-  void set_overlap(bool on) { overlap_ = on; }
-  [[nodiscard]] bool overlap() const { return overlap_; }
-  [[nodiscard]] const OverlapStats& overlap_stats() const { return ov_; }
-  void reset_overlap_stats() { ov_.reset(); }
-
- private:
-  void apply_blocking() const {
-    cluster_.exchange(in_ranks_);
-    const HaloLattice& halo = cluster_.halo();
-    const T k = kappa_;
-    parallel_for(static_cast<std::size_t>(cluster_.ranks()),
-                 [&](std::size_t r) {
-      const auto& psi = in_ranks_[r];
-      const auto& ug = gauge_[r];
-      auto& res = out_ranks_[r];
-      for (std::int64_t i = 0; i < halo.interior_volume(); ++i) {
-        const Coord x = halo.interior_coords(i);
-        const std::int64_t xe = halo.ext_index(x);
-        WilsonSpinor<T> acc = detail::dist_hop_site(x, psi, ug, halo);
-        acc *= k;
-        WilsonSpinor<T> v = psi[static_cast<std::size_t>(xe)];
-        v -= acc;
-        res[static_cast<std::size_t>(xe)] = v;
-      }
-    });
-  }
-
-  void apply_overlapped() const {
-    const HaloLattice& halo = cluster_.halo();
-    WallTimer t;
-    cluster_.exchange_begin(in_ranks_);
-    ov_.t_begin_s += t.seconds();
-    t.start();
-    compute_sites(halo.interior_sites());
-    ov_.t_interior_s += t.seconds();
-    t.start();
-    cluster_.exchange_finish(in_ranks_);
-    ov_.t_finish_s += t.seconds();
-    t.start();
-    compute_sites(halo.surface_sites());
-    ov_.t_surface_s += t.seconds();
-    const std::int64_t nr = cluster_.ranks();
-    const std::int64_t n_int =
-        static_cast<std::int64_t>(halo.interior_sites().size());
-    const std::int64_t n_surf =
-        static_cast<std::int64_t>(halo.surface_sites().size());
-    ov_.applies += 1;
-    ov_.interior_sites += nr * n_int;
-    ov_.surface_sites += nr * n_surf;
-    if (telemetry::enabled()) {
-      static telemetry::Counter& c_applies =
-          telemetry::counter("comm.halo.overlap.applies");
-      static telemetry::Counter& c_int =
-          telemetry::counter("comm.halo.overlap.interior_sites");
-      static telemetry::Counter& c_surf =
-          telemetry::counter("comm.halo.overlap.surface_sites");
-      c_applies.add(1);
-      c_int.add(nr * n_int);
-      c_surf.add(nr * n_surf);
-    }
-  }
-
-  void compute_sites(std::span<const std::int64_t> sites) const {
-    const HaloLattice& halo = cluster_.halo();
-    const T k = kappa_;
-    parallel_for(static_cast<std::size_t>(cluster_.ranks()),
-                 [&](std::size_t r) {
-      const auto& psi = in_ranks_[r];
-      const auto& ug = gauge_[r];
-      auto& res = out_ranks_[r];
-      for (const std::int64_t i : sites) {
-        const Coord x = halo.interior_coords(i);
-        const std::int64_t xe = halo.ext_index(x);
-        WilsonSpinor<T> acc = detail::dist_hop_site(x, psi, ug, halo);
-        acc *= k;
-        WilsonSpinor<T> v = psi[static_cast<std::size_t>(xe)];
-        v -= acc;
-        res[static_cast<std::size_t>(xe)] = v;
-      }
-    });
-  }
-
-  VirtualCluster<T> cluster_;
-  std::vector<typename VirtualCluster<T>::RankGauge> gauge_;
-  mutable std::vector<typename VirtualCluster<T>::RankFermion> in_ranks_;
-  mutable std::vector<typename VirtualCluster<T>::RankFermion> out_ranks_;
-  T kappa_;
-  bool overlap_ = true;
-  mutable OverlapStats ov_;
-};
-
 }  // namespace lqcd
+
+// The exchange itself, the rank operators and the virtual cluster built
+// from them; included last so that either header gives the whole API.
+#include "comm/transport/rank_halo.hpp"

@@ -2,9 +2,11 @@
 // In-process transport backend: N virtual ranks inside one process,
 // wired through a mutex+condvar mailbox hub.
 //
-// This is the default backend — the refactored core of VirtualCluster —
-// and doubles as the SPMD harness the tests drive with one thread per
-// rank. Frames move as structs (no serialization); the pristine payload
+// This is the default backend. A VirtualCluster is N RankClusters on one
+// group of these endpoints, driven in lockstep from one thread (every
+// rank's send phase before any rank's receive phase); the tests' SPMD
+// harness drives the same endpoints with one thread per rank. Frames
+// move as structs (no serialization); the pristine payload
 // rides along with each record, so redelivery after a detected fault is
 // a local re-roll of the injector schedule rather than a wire NACK —
 // byte-equivalent to the sender re-sending, without the modeled wire
@@ -13,8 +15,9 @@
 // same stream a socket run produces; self-sends never count wire bytes
 // on any backend.
 //
-// Endpoint objects are single-threaded (one rank's endpoint is only ever
-// driven by that rank's thread); the hub serializes cross-rank handoff.
+// Endpoint objects are single-threaded (one rank's endpoint is driven by
+// one thread at a time: its rank thread, or the pool thread running that
+// rank in a lockstep phase); the hub serializes cross-rank handoff.
 
 #include <condition_variable>
 #include <cstdint>

@@ -7,8 +7,8 @@
 // introspection. Three backends implement it:
 //
 //   InProcessTransport  N virtual ranks inside one process (mailbox hub);
-//                       the refactored VirtualCluster default, and the
-//                       SPMD thread harness the tests use.
+//                       the VirtualCluster's ranks, and the SPMD thread
+//                       harness the tests use.
 //   SocketTransport     N real processes over loopback TCP, nonblocking
 //                       I/O, launched by lqcd_launch.
 //   ShmTransport        N same-host processes over lock-free shared-
@@ -70,8 +70,8 @@ enum class TransportKind { kInProcess, kSocket, kShm };
 /// Parse "virtual" / "socket" / "shm" (throws lqcd::Error otherwise).
 [[nodiscard]] TransportKind parse_transport_kind(std::string_view name);
 
-/// Endpoint-local wire counters. The virtual cluster and the rank-local
-/// halo merge these into CommStats after each exchange phase.
+/// Endpoint-local wire counters. RankCluster merges these into its
+/// CommStats after each exchange phase.
 struct WireStats {
   std::int64_t frames = 0;         ///< first-attempt sends (incl. self)
   std::int64_t payload_bytes = 0;  ///< their logical payload bytes

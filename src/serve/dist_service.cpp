@@ -24,61 +24,6 @@ namespace {
 using transport::make_seq_tag;
 using transport::TagKind;
 
-// Same payload builders as the virtual service (service.cpp) — the two
-// modes must journal byte-identical frames for identical decisions.
-
-std::string begin_payload(const CampaignSpec& spec) {
-  json::Writer w;
-  w.begin_object()
-      .field("name", spec.name)
-      .field("fingerprint",
-             static_cast<std::int64_t>(spec_fingerprint(spec)))
-      .field("tasks", spec.num_tasks())
-      .end_object();
-  return w.str();
-}
-
-std::string running_payload(const SolveTask& task, int lane, int attempt) {
-  json::Writer w;
-  w.begin_object()
-      .field("task", task.id)
-      .field("lane", lane)
-      .field("attempt", attempt)
-      .end_object();
-  return w.str();
-}
-
-std::string failed_payload(const SolveTask& task, int attempt,
-                           std::string_view why) {
-  json::Writer w;
-  w.begin_object()
-      .field("task", task.id)
-      .field("attempt", attempt)
-      .field("error", why)
-      .end_object();
-  return w.str();
-}
-
-std::string lane_dead_payload(int lane, std::uint64_t epoch) {
-  json::Writer w;
-  w.begin_object()
-      .field("lane", lane)
-      .field("epoch", static_cast<std::int64_t>(epoch))
-      .end_object();
-  return w.str();
-}
-
-std::string reassigned_payload(int task, int from, int to) {
-  json::Writer w;
-  w.begin_object()
-      .field("task", task)
-      .field("from", from)
-      .field("to", to)
-      .field("reason", "lane_dead")
-      .end_object();
-  return w.str();
-}
-
 // Coordinator -> worker dispatch, on the kTask tag stream. Result frames
 // come back on the kResult stream as "ok\n" + TaskDone payload or
 // "err\n" + message — a byte-exact passthrough, never re-serialized.
@@ -321,7 +266,7 @@ CampaignOutcome run_distributed_campaign(const CampaignSpec& spec_in,
             orphans, static_cast<int>(l), task_cost, rem, alive);
         for (const Reassignment& m : moves) {
           journal.append(RecordType::TaskReassigned,
-                         reassigned_payload(m.task, m.from, m.to));
+                         reassigned_payload(m.task, m.from, m.to, false));
           lanes[static_cast<std::size_t>(m.to)].queue.push_back(m.task);
           ++outcome.tasks_reassigned;
           telemetry::counter("serve.tasks_reassigned").add(1);

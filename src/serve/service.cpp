@@ -18,8 +18,6 @@
 
 namespace lqcd::serve {
 
-namespace {
-
 std::string begin_payload(const CampaignSpec& spec) {
   json::Writer w;
   w.begin_object()
@@ -72,8 +70,6 @@ std::string reassigned_payload(int task, int from, int to,
       .end_object();
   return w.str();
 }
-
-}  // namespace
 
 std::string solve_task_payload(const CampaignSpec& spec,
                                const LatticeGeometry& geo,

@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "comm/fault.hpp"
@@ -109,6 +110,25 @@ struct CampaignStatus {
                                              const GaugeFieldD& config,
                                              const SolveTask& task,
                                              int attempt);
+
+// Journal payloads of the coordinator's other frames, shared by the
+// virtual service and the distributed coordinator so both journal
+// byte-identical frames for identical decisions.
+
+/// CampaignBegin: spec name, fingerprint and task count.
+[[nodiscard]] std::string begin_payload(const CampaignSpec& spec);
+/// TaskRunning: `task` started on `lane`, attempt number `attempt`.
+[[nodiscard]] std::string running_payload(const SolveTask& task, int lane,
+                                          int attempt);
+/// TaskFailed: attempt `attempt` of `task` failed with `why`.
+[[nodiscard]] std::string failed_payload(const SolveTask& task, int attempt,
+                                         std::string_view why);
+/// LaneDead: `lane` declared dead at scheduling epoch `epoch`.
+[[nodiscard]] std::string lane_dead_payload(int lane, std::uint64_t epoch);
+/// TaskReassigned: `task` moved from lane `from` to `to`, as a
+/// speculative replica or off a dead lane.
+[[nodiscard]] std::string reassigned_payload(int task, int from, int to,
+                                             bool speculative);
 
 /// Write <spec.output>/result.json from a replayed journal (shared by
 /// the virtual service and the distributed coordinator).

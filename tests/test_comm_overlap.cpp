@@ -258,6 +258,29 @@ TEST(OverlapFault, RankDeathInBeginLeavesClusterReusable) {
   EXPECT_EQ(span_diff2(again.span(), ref.span()), 0.0);
 }
 
+TEST(OverlapFault, RetryExhaustionInFinishLeavesClusterReusable) {
+  // Only rank 0's receives are corrupted: its finish exhausts the retry
+  // budget while the other ranks complete theirs. The cluster must roll
+  // every rank back onto one exchange epoch, so the next apply runs clean.
+  const GaugeFieldD u = thermal8(380);
+  FermionFieldD in(geo8()), out(geo8()), ref(geo8());
+  fill_random(in.span(), 381);
+  DistributedWilsonOperator<double> dist(u, 0.12, ProcessGrid({2, 1, 1, 2}));
+  FaultInjector fi(8);
+  FaultSpec corrupt;
+  corrupt.corrupt_prob = 1.0;
+  fi.set_rank_spec(0, corrupt);
+  dist.cluster().set_resilience({.checksum = true, .max_retries = 1});
+  dist.cluster().set_fault_injector(&fi);
+  EXPECT_THROW(dist.apply(out.span(), in.span()), FatalError);
+  EXPECT_FALSE(dist.cluster().exchange_in_flight());
+  dist.cluster().set_fault_injector(nullptr);
+  dist.apply(out.span(), in.span());
+  DistributedWilsonOperator<double> fresh(u, 0.12, ProcessGrid({2, 1, 1, 2}));
+  fresh.apply(ref.span(), in.span());
+  EXPECT_EQ(span_diff2(out.span(), ref.span()), 0.0);
+}
+
 TEST(OverlapStatsTest, PhaseTimesAndHiddenFraction) {
   const GaugeFieldD u = thermal8(350);
   FermionFieldD in(geo8()), out(geo8());

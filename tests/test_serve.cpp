@@ -1,7 +1,8 @@
 // Tests for the campaign service: spec validation and fingerprinting, the
 // CRC-framed journal (replay, torn tails, corruption), deterministic
-// sharding, and the headline contract — a killed campaign resumes without
-// recomputing any finished task, journaling byte-identical results.
+// sharding, the headline contract — a killed campaign resumes without
+// recomputing any finished task, journaling byte-identical results — and
+// the distributed coordinator journaling what the virtual service does.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -10,11 +11,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/fault.hpp"
+#include "comm/transport/transport.hpp"
 #include "gauge/heatbath.hpp"
 #include "gauge/io.hpp"
+#include "serve/dist_service.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
 
@@ -267,6 +271,50 @@ TEST(CampaignService, RunsCampaignAndWritesResult) {
   const CampaignOutcome out2 = again.run();
   EXPECT_EQ(out2.completed, 0);
   EXPECT_EQ(out2.skipped, 4);
+}
+
+// One journal vocabulary for both coordinators: a 1-worker distributed
+// campaign over a 2-rank in-process group (one thread per rank) journals
+// the same (type, payload) records, in the same order, as the virtual
+// service running the same spec on one lane.
+TEST(DistributedCampaign, JournalReplaysLikeVirtualService) {
+  const std::string dir = scratch("dist");
+  CampaignSpec spec = small_spec(dir);
+  spec.ranks = 1;
+  CampaignService service(spec);
+  ASSERT_TRUE(service.run().finished);
+  const std::vector<Record> want =
+      replay_journal(service.journal_path()).records;
+  // Same output directory (it is part of the spec fingerprint the
+  // CampaignBegin frame carries), fresh journal.
+  fs::remove(service.journal_path());
+  fs::remove(dir + "/result.json");
+
+  auto eps = transport::make_inprocess_group(2);
+  std::vector<CampaignOutcome> outs(2);
+  std::vector<std::exception_ptr> errs(2);
+  std::vector<std::thread> ranks;
+  for (std::size_t r = 0; r < 2; ++r)
+    ranks.emplace_back([&, r] {
+      try {
+        outs[r] = run_distributed_campaign(spec, *eps[r]);
+      } catch (...) {
+        errs[r] = std::current_exception();
+      }
+    });
+  for (std::thread& t : ranks) t.join();
+  for (const std::exception_ptr& e : errs)
+    if (e) std::rethrow_exception(e);
+  EXPECT_TRUE(outs[0].finished);
+  EXPECT_EQ(outs[0].completed, 4);
+
+  const std::vector<Record> got =
+      replay_journal(service.journal_path()).records;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].type, want[i].type) << "record " << i;
+    EXPECT_EQ(got[i].payload, want[i].payload) << "record " << i;
+  }
 }
 
 TEST(CampaignService, KillResumeRecomputesNothing) {

@@ -1,17 +1,25 @@
 // Tests for lqcd::telemetry: counter atomicity, nested trace accounting,
 // JSON report shape, run-to-run determinism of the counter section under
-// the virtual cluster, and agreement between the hot-path counters and
-// the analytic performance model.
+// the virtual cluster, agreement between the hot-path counters and the
+// analytic performance model, and SPMD ranks' counter shares summing to
+// the virtual run's counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "comm/dist_eo.hpp"
 #include "comm/halo.hpp"
 #include "comm/machine.hpp"
 #include "comm/perf_model.hpp"
 #include "comm/process_grid.hpp"
+#include "comm/transport/rank_halo.hpp"
+#include "comm/transport/transport.hpp"
 #include "dirac/normal.hpp"
 #include "gauge/heatbath.hpp"
 #include "parallel/thread_pool.hpp"
@@ -233,6 +241,117 @@ TEST(TelemetryReport, CountersMatchPerfModel) {
       static_cast<double>(sites.value() - s0) * kDslashFlopsPerSite;
   const double model_flops = model.flops * ranks * kApplies;
   EXPECT_NEAR(measured_flops, model_flops, 0.01 * model_flops);
+}
+
+// Every SPMD rank books its own share of the halo and operator counters,
+// and the collective counts (exchanges, applies) only on rank 0 — so the
+// counters summed over the ranks of a multi-process run equal the
+// 1-process virtual run's. Here the ranks are two threads over
+// in-process groups, booking into this process's counters, against the
+// virtual operators doing the same work: construction's gauge exchange,
+// a blocking and a split exchange, an overlapped and a blocking Wilson
+// apply, a Schur apply and a Schur prepare_rhs.
+TEST(TelemetryReport, RankCountersSumToVirtualCounters) {
+  telemetry::set_enabled(true);
+  static constexpr const char* kNames[] = {
+      "comm.halo.exchanges",
+      "comm.halo.messages",
+      "comm.halo.bytes",
+      "comm.halo.wire_bytes",
+      "comm.halo.wire_frames",
+      "comm.halo.retransmits",
+      "comm.halo.crc_failures",
+      "comm.halo.timeouts",
+      "comm.halo.checksum_bytes",
+      "comm.halo.straggler_events",
+      "comm.halo.full_equiv_bytes",
+      "comm.halo.compressed_frames",
+      "comm.halo.overlap.split_exchanges",
+      "comm.halo.overlap.applies",
+      "comm.halo.overlap.interior_sites",
+      "comm.halo.overlap.surface_sites",
+      "dslash.site_applies",
+      "dslash.applies",
+      "dslash.dist_schur_applies",
+  };
+  const auto delta = [](const auto& work) {
+    std::map<std::string, std::int64_t> before;
+    for (const char* n : kNames) before[n] = telemetry::counter(n).value();
+    work();
+    std::map<std::string, std::int64_t> d;
+    for (const char* n : kNames)
+      d[n] = telemetry::counter(n).value() - before[n];
+    return d;
+  };
+  const ProcessGrid grid({1, 1, 1, 2});
+  const double kappa = 0.12;
+  const auto vol = static_cast<std::size_t>(geo4().volume());
+  const auto hv = static_cast<std::size_t>(geo4().half_volume());
+  FermionFieldD src(geo4());
+  fill_random(src.span(), 904);
+  FermionFieldD odd(geo4());  // the Schur input: odd block only
+  std::copy(src.span().begin() + static_cast<long>(hv), src.span().end(),
+            odd.span().begin() + static_cast<long>(hv));
+
+  const auto virtual_counts = delta([&] {
+    DistributedWilsonOperator<double> w(gauge4(), kappa, grid);
+    VirtualCluster<double>& vc = w.cluster();
+    auto f = vc.make_fermion();
+    vc.scatter(f, src.span());
+    vc.exchange(f);
+    vc.exchange_begin(f);
+    vc.exchange_finish(f);
+    FermionFieldD out(geo4());
+    w.apply(out.span(), src.span());
+    w.set_overlap(false);
+    w.apply(out.span(), src.span());
+    DistributedSchurWilsonOperator<double> s(gauge4(), kappa, grid);
+    std::vector<WilsonSpinorD> o(hv);
+    s.apply(o, odd.span().subspan(hv));
+    s.prepare_rhs(o, src.span());
+  });
+
+  const auto rank_counts = delta([&] {
+    ThreadPool::set_global_threads(1);  // rank threads share no pool
+    auto wilson_eps = transport::make_inprocess_group(grid.size());
+    auto schur_eps = transport::make_inprocess_group(grid.size());
+    std::vector<std::thread> ts;
+    for (int r = 0; r < grid.size(); ++r)
+      ts.emplace_back([&, r] {
+        const auto k = static_cast<std::size_t>(r);
+        RankWilsonOperator<double> w(gauge4(), kappa, grid, *wilson_eps[k]);
+        const RankCluster<double>& cl = w.cluster();
+        auto f = cl.make_fermion();
+        cl.extract_local(f, src.span());
+        cl.exchange(f);
+        cl.exchange_begin(f);
+        cl.exchange_finish(f);
+        auto in = cl.make_fermion();
+        auto out = cl.make_fermion();
+        cl.extract_local(in, src.span());
+        w.apply(out, in);
+        w.set_overlap(false);
+        w.apply(out, in);
+        RankSchurWilsonOperator<double> s(gauge4(), kappa, grid,
+                                          *schur_eps[k]);
+        auto x = s.cluster().make_fermion();
+        auto b = s.cluster().make_fermion();
+        auto y = s.cluster().make_fermion();
+        s.cluster().extract_local(x, odd.span());
+        s.cluster().extract_local(b, src.span());
+        s.apply(y, x);
+        s.prepare_rhs(y, b);
+      });
+    for (std::thread& t : ts) t.join();
+    ThreadPool::set_global_threads(0);
+  });
+
+  for (const char* n : kNames)
+    EXPECT_EQ(rank_counts.at(n), virtual_counts.at(n)) << n;
+  EXPECT_EQ(virtual_counts.at("comm.halo.exchanges"), 9);
+  EXPECT_EQ(virtual_counts.at("dslash.site_applies"),
+            2 * static_cast<std::int64_t>(vol) +
+                static_cast<std::int64_t>(vol + hv));
 }
 
 }  // namespace

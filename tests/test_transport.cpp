@@ -1,6 +1,7 @@
 // Tests for lqcd::transport — the frame codec, the three backends
 // behind one SPMD thread harness, fault-schedule parity across
-// backends, and the death/budget error contract the campaign layers
+// backends, the SPMD rank operators on rank threads against the virtual
+// cluster, and the death/budget error contract the campaign layers
 // key on (TransientError = peer gone / timed out, FatalError = retry
 // budget exhausted). The socket backend runs over real loopback TCP
 // built by the same listen_loopback()/rendezvous_serve() pair
@@ -15,10 +16,12 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "comm/dist_eo.hpp"
 #include "comm/fault.hpp"
 #include "comm/halo.hpp"
 #include "comm/process_grid.hpp"
@@ -28,6 +31,7 @@
 #include "comm/transport/shm.hpp"
 #include "comm/transport/socket.hpp"
 #include "comm/transport/transport.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -46,6 +50,16 @@ std::vector<std::byte> make_payload(std::size_t n, unsigned salt = 0) {
 
 std::uint64_t ctrl_tag(std::uint64_t seq) {
   return tr::make_seq_tag(tr::TagKind::kCtrl, seq);
+}
+
+void fill_gaussian(std::span<WilsonSpinorD> f, std::uint64_t seed) {
+  SiteRngFactory rngs(seed);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    CounterRng rng = rngs.make(i);
+    for (int s = 0; s < Ns; ++s)
+      for (int c = 0; c < Nc; ++c)
+        f[i].s[s].c[c] = Cplxd(rng.gaussian(), rng.gaussian());
+  }
 }
 
 // --- frame codec ------------------------------------------------------
@@ -391,13 +405,7 @@ std::vector<RankOutcome> exchange_drill(int n, const MakeTransport& make,
     cl.set_halo_precision(prec);
     if (injector != nullptr) cl.set_fault_injector(injector);
     aligned_vector<WilsonSpinorD> src(vol);
-    SiteRngFactory rngs(99);
-    for (std::size_t i = 0; i < vol; ++i) {
-      CounterRng rng = rngs.make(i);
-      for (int s = 0; s < Ns; ++s)
-        for (int c = 0; c < Nc; ++c)
-          src[i].s[s].c[c] = Cplxd(rng.gaussian(), rng.gaussian());
-    }
+    fill_gaussian({src.data(), vol}, 99);
     auto f = cl.make_fermion();
     cl.extract_local(f, {src.data(), vol});
     for (int e = 0; e < exchanges; ++e) cl.exchange(f);
@@ -606,6 +614,112 @@ TEST(TransportParity, CompressedCorruptionCaughtAndHealedIdentically) {
   EXPECT_EQ(in_proc[0].field_crc, clean[0].field_crc);
   EXPECT_EQ(in_proc[1].field_crc, clean[1].field_crc);
 }
+
+// --- SPMD oracle: rank operators on rank threads vs the virtual cluster --
+
+/// Pins the fork-join pool to one worker for the scope: rank threads
+/// sharing the process-wide pool would race run_chunks.
+struct SerialPool {
+  SerialPool() { ThreadPool::set_global_threads(1); }
+  ~SerialPool() { ThreadPool::set_global_threads(0); }
+  SerialPool(const SerialPool&) = delete;
+  SerialPool& operator=(const SerialPool&) = delete;
+};
+
+struct OracleCase {
+  Coord grid;
+  bool schur;
+  HaloPrecision prec;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << (c.schur ? "Schur_" : "Wilson_") << to_string(c.prec) << "_grid";
+  for (const int g : c.grid) *os << g;
+}
+
+class SpmdOracle : public ::testing::TestWithParam<OracleCase> {};
+
+/// The rank operators, one thread per rank over an in-process group,
+/// gathered at rank 0, must reproduce the 1-process Distributed*
+/// operators bit for bit — the same contract the launcher drills check
+/// with CRCs over socket and shm, here inside tier-1.
+TEST_P(SpmdOracle, RankOperatorsMatchVirtualBitForBit) {
+  const OracleCase& c = GetParam();
+  const LatticeGeometry geo({8, 4, 4, 8});
+  const ProcessGrid grid(c.grid);
+  GaugeFieldD u(geo);
+  u.set_random(SiteRngFactory(4400));
+  const double kappa = 0.12;
+  const int reps = 2;
+  const auto vol = static_cast<std::size_t>(geo.volume());
+  // Schur operators act on the odd checkerboard: the source fills the
+  // odd block (the back half in cb layout) and the even block is zero.
+  const std::size_t lo = c.schur ? static_cast<std::size_t>(geo.half_volume())
+                                 : 0;
+  aligned_vector<WilsonSpinorD> src(vol);
+  fill_gaussian({src.data() + lo, vol - lo}, 4401);
+
+  // Virtual reference: `reps` applies, each output feeding the next.
+  aligned_vector<WilsonSpinorD> want(src.begin() + static_cast<long>(lo),
+                                     src.end());
+  aligned_vector<WilsonSpinorD> tmp(want.size());
+  const auto virtual_run = [&](auto& op) {
+    op.set_halo_precision(c.prec);
+    for (int k = 0; k < reps; ++k) {
+      op.apply({tmp.data(), tmp.size()}, {want.data(), want.size()});
+      std::swap(want, tmp);
+    }
+  };
+  if (c.schur) {
+    DistributedSchurWilsonOperator<double> op(u, kappa, grid);
+    virtual_run(op);
+  } else {
+    DistributedWilsonOperator<double> op(u, kappa, grid);
+    virtual_run(op);
+  }
+
+  aligned_vector<WilsonSpinorD> got(vol);
+  const auto rank_run = [&](auto& op, tr::Transport& tp) {
+    op.set_halo_precision(c.prec);
+    auto& cl = op.cluster();
+    auto in = cl.make_fermion();
+    auto out = cl.make_fermion();
+    cl.extract_local(in, {src.data(), vol});
+    for (int k = 0; k < reps; ++k) {
+      op.apply(out, in);
+      std::swap(in, out);
+    }
+    cl.gather_to_root({got.data(), tp.rank() == 0 ? vol : 0}, in);
+  };
+  {
+    const SerialPool serial;
+    run_spmd(grid.size(), inprocess_world(grid.size()),
+             [&](int, tr::Transport& tp) {
+               if (c.schur) {
+                 RankSchurWilsonOperator<double> op(u, kappa, grid, tp);
+                 rank_run(op, tp);
+               } else {
+                 RankWilsonOperator<double> op(u, kappa, grid, tp);
+                 rank_run(op, tp);
+               }
+             });
+  }
+  EXPECT_EQ(std::memcmp(got.data() + lo, want.data(),
+                        want.size() * sizeof(WilsonSpinorD)),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, SpmdOracle,
+    ::testing::Values(
+        OracleCase{{2, 1, 1, 2}, false, HaloPrecision::kFull},
+        OracleCase{{2, 1, 1, 2}, false, HaloPrecision::kHalf},
+        OracleCase{{2, 1, 1, 2}, true, HaloPrecision::kFull},
+        OracleCase{{2, 1, 1, 2}, true, HaloPrecision::kHalf},
+        OracleCase{{1, 1, 1, 4}, false, HaloPrecision::kFull},
+        OracleCase{{1, 1, 1, 4}, false, HaloPrecision::kHalf},
+        OracleCase{{1, 1, 1, 4}, true, HaloPrecision::kFull},
+        OracleCase{{1, 1, 1, 4}, true, HaloPrecision::kHalf}));
 
 // --- error contract: budgets, death, timeouts ------------------------
 
