@@ -12,6 +12,7 @@
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace lqcd::bench {
 
@@ -42,6 +43,18 @@ inline void fill_gaussian(std::span<WilsonSpinorD> f, std::uint64_t seed) {
       for (int c = 0; c < Nc; ++c)
         f[i].s[s].c[c] = Cplxd(rng.gaussian(), rng.gaussian());
   }
+}
+
+/// Fine-grid Dirac site applies so far: full-grid plus SAP block sweeps,
+/// priced at the same rate. Needs telemetry enabled.
+inline std::int64_t fine_applies_mark() {
+  return telemetry::counter("dslash.site_applies").value() +
+         telemetry::counter("dslash.block_site_applies").value();
+}
+
+/// Fine-grid Dirac applies per site since `mark`.
+inline double fine_applies_since(std::int64_t mark, double volume) {
+  return static_cast<double>(fine_applies_mark() - mark) / volume;
 }
 
 template <typename T>

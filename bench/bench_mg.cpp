@@ -14,8 +14,11 @@
 //     traffic is latency-dominated — the printed coarse_fraction is the
 //     strong-scaling floor the paper's solver section worries about.
 //
+// Seconds stand beside the applies: the MG and CG solve times, and their
+// ratio with MG's setup amortized over the 12 columns of a propagator.
+//
 // --json <path> records the sweep (bench/BENCH_mg.json holds a reference
-// run).
+// run); --quick runs a 4^4 single-kappa smoke.
 
 #include <cstdio>
 #include <fstream>
@@ -48,35 +51,23 @@ struct SweepRow {
   bool converged = false;
 };
 
-/// Fine-grid Dirac applies per site since `mark` (full + block sweeps).
-double fine_applies_since(std::int64_t mark, double volume) {
-  const std::int64_t now =
-      telemetry::counter("dslash.site_applies").value() +
-      telemetry::counter("dslash.block_site_applies").value();
-  return static_cast<double>(now - mark) / volume;
-}
-
-std::int64_t fine_applies_mark() {
-  return telemetry::counter("dslash.site_applies").value() +
-         telemetry::counter("dslash.block_site_applies").value();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace lqcd;
   Cli cli(argc, argv);
-  const int L = cli.get_int("L", 8);
+  const bool quick = cli.get_flag("quick");
+  const int L = cli.get_int("L", quick ? 4 : 8);
   const double tol = cli.get_double("tol", 1e-8);
-  const int nvec = cli.get_int("nvec", 32);
-  const int setup_iters = cli.get_int("setup-iters", 4);
+  const int nvec = cli.get_int("nvec", quick ? 4 : 32);
+  const int setup_iters = cli.get_int("setup-iters", quick ? 1 : 4);
   const int cycles = cli.get_int("cycles", 1);
   const int sap_block = cli.get_int("sap-block", 2);
   const int sap_mr = cli.get_int("sap-mr", 4);
-  const int coarse_iters = cli.get_int("coarse-iters", 64);
+  const int coarse_iters = cli.get_int("coarse-iters", quick ? 16 : 64);
   const double coarse_tol = cli.get_double("coarse-tol", 1e-1);
-  const std::string kappa_list =
-      cli.get_string("kappas", "0.150,0.160,0.168,0.174");
+  const std::string kappa_list = cli.get_string(
+      "kappas", quick ? "0.150" : "0.150,0.160,0.168,0.174");
   const std::string json_path = cli.get_string("json", "");
   cli.finish();
 
@@ -90,11 +81,13 @@ int main(int argc, char** argv) {
   std::printf("T6: MG-GCR vs mixed-precision eo-CG, thermalized %d^4 "
               "(beta=5.9, tol=%.0e)\n", L, tol);
   std::printf("Unit: fine-grid Dirac applies per site (full-grid + SAP "
-              "block sweeps), setup excluded.\n\n");
-  std::printf("%7s | %28s | %21s | %7s\n", "kappa",
-              "MG-GCR (setup amortized)", "mixed eo-CG", "applies");
-  std::printf("%7s | %6s %8s %12s | %6s %8s %5s | %7s\n", "", "iters",
-              "applies", "setup[ms]", "iters", "applies", "t[ms]", "ratio");
+              "block sweeps), setup excluded.\n");
+  std::printf("time ratio: CG t / (MG t + setup / 12 columns).\n\n");
+  std::printf("%7s | %35s | %21s | %15s\n", "kappa",
+              "MG-GCR (setup amortized)", "mixed eo-CG", "CG/MG ratio");
+  std::printf("%7s | %6s %8s %8s %10s | %6s %8s %5s | %7s %7s\n", "",
+              "iters", "applies", "t[ms]", "setup[ms]", "iters", "applies",
+              "t[ms]", "applies", "time");
 
   // Comma-separated kappa sweep, reaching toward kappa_c for this
   // (beta=5.9, lightly thermalized) ensemble.
@@ -126,19 +119,19 @@ int main(int argc, char** argv) {
 
     // MG: the setup (relaxation + Galerkin assembly) is paid once per
     // configuration; meter it separately from the solve.
-    std::int64_t mark = fine_applies_mark();
+    std::int64_t mark = bench::fine_applies_mark();
     WallTimer setup_timer;
     const auto mg = make_solver(u, SolverKind::Mg, cfg);
     row.mg_setup_seconds = setup_timer.seconds();
-    row.mg_setup_applies = fine_applies_since(mark, volume);
+    row.mg_setup_applies = bench::fine_applies_since(mark, volume);
 
-    mark = fine_applies_mark();
+    mark = bench::fine_applies_mark();
     const std::int64_t cyc0 = telemetry::counter("mg.vcycle.count").value();
     const std::int64_t cit0 =
         telemetry::counter("mg.coarse.solve_iterations").value();
     blas::zero(x.span());
     const SolverResult rmg = mg->solve(x.span(), b.span());
-    row.mg_fine_applies = fine_applies_since(mark, volume);
+    row.mg_fine_applies = bench::fine_applies_since(mark, volume);
     row.mg_iterations = rmg.iterations;
     row.mg_seconds = rmg.seconds;
     const std::int64_t dcyc =
@@ -153,10 +146,10 @@ int main(int argc, char** argv) {
 
     // Mixed-precision eo-CG on the same system and rhs.
     const auto cg = make_solver(u, SolverKind::MixedCg, cfg);
-    mark = fine_applies_mark();
+    mark = bench::fine_applies_mark();
     blas::zero(x.span());
     const SolverResult rcg = cg->solve(x.span(), b.span());
-    row.cg_fine_applies = fine_applies_since(mark, volume);
+    row.cg_fine_applies = bench::fine_applies_since(mark, volume);
     row.cg_iterations = rcg.iterations;
     row.cg_seconds = rcg.seconds;
     row.converged = rmg.converged && rcg.converged;
@@ -164,12 +157,14 @@ int main(int argc, char** argv) {
     const double ratio =
         row.mg_fine_applies > 0.0 ? row.cg_fine_applies / row.mg_fine_applies
                                   : 0.0;
-    std::printf("%7.3f | %6d %8.0f %12.1f | %6d %8.0f %5.0f | %6.1fx  "
-                "(%.0f coarse it/cycle)%s\n",
+    const double time_ratio =
+        row.cg_seconds / (row.mg_seconds + row.mg_setup_seconds / 12.0);
+    std::printf("%7.3f | %6d %8.0f %8.0f %10.1f | %6d %8.0f %5.0f | %6.1fx "
+                "%6.2fx  (%.0f coarse it/cycle)%s\n",
                 kappa, row.mg_iterations, row.mg_fine_applies,
-                row.mg_setup_seconds * 1e3, row.cg_iterations,
-                row.cg_fine_applies, row.cg_seconds * 1e3, ratio,
-                row.coarse_iters_per_cycle,
+                row.mg_seconds * 1e3, row.mg_setup_seconds * 1e3,
+                row.cg_iterations, row.cg_fine_applies, row.cg_seconds * 1e3,
+                ratio, time_ratio, row.coarse_iters_per_cycle,
                 row.converged ? "" : "  [!] unconverged");
     rows.push_back(row);
   }
@@ -187,6 +182,7 @@ int main(int argc, char** argv) {
   mg_model.nvec = nvec;
   mg_model.smoother_cycles = cycles;
   mg_model.smoother_mr_iters = sap_mr;
+  mg_model.smoother_block = {sap_block, sap_block, sap_block, sap_block};
   mg_model.coarse_iterations = 16;  // ~the measured mid-sweep cost
   std::printf("%-16s %6s %12s %12s %10s %8s\n", "machine", "nodes",
               "t_vcycle[us]", "t_coarse[us]", "coarse[%]", "msgs");

@@ -69,8 +69,7 @@ BENCHES = {
         ["heatbath", "hmc"],
     ),
     "bench_mg": (
-        ["--L", "4", "--nvec", "4", "--setup-iters", "1",
-         "--coarse-iters", "16", "--kappas", "0.15"],
+        ["--quick"],
         None,
         ["experiment", "sweep", "tol"],
     ),

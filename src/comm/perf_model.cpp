@@ -120,24 +120,71 @@ DslashCost model_dslash(const Coord& local, const Coord& grid,
   return c;
 }
 
+namespace {
+
+/// Add `n` applications of `c` into `sum`.
+void add_dslash(DslashCost& sum, const DslashCost& c, double n) {
+  sum.flops += n * c.flops;
+  sum.mem_bytes += n * c.mem_bytes;
+  sum.comm_bytes += n * c.comm_bytes;
+  sum.messages += static_cast<int>(n) * c.messages;
+  sum.t_compute += n * c.t_compute;
+  sum.t_comm += n * c.t_comm;
+  sum.t_resilience += n * c.t_resilience;
+  sum.t_sequential += n * c.t_sequential;
+  sum.t_hidden += n * c.t_hidden;
+  sum.t_total += n * c.t_total;
+}
+
+/// One SAP boundary update after a color sweep: the residual gains the
+/// hops of the block correction that cross block faces. Per direction a
+/// site has its forward (and one its backward) neighbour in the next
+/// block once per `block[mu]` sites; one color's correction covers half
+/// the sites. Its compute is that share of `global`'s; its halo traffic
+/// is `global`'s, because the correction's ghost faces still move.
+DslashCost sap_boundary_update(const DslashCost& global, const Coord& local,
+                               const Coord& grid, const Coord& block,
+                               const PerfModelOptions& opt) {
+  double crossing = 0.0;
+  for (int mu = 0; mu < Nd; ++mu)
+    if (block[mu] < local[mu] * grid[mu])
+      crossing += 2.0 / static_cast<double>(block[mu]);
+  const double share = 0.5 * crossing / (2.0 * Nd);
+
+  DslashCost c = global;
+  c.flops *= share;
+  c.mem_bytes *= share;
+  c.t_compute *= share;
+  c.t_sequential = c.t_compute + c.t_comm;
+  c.t_hidden =
+      std::min(c.t_comm * opt.overlap, c.t_compute * c.interior_fraction);
+  c.hidden_fraction = c.t_comm > 0.0 ? c.t_hidden / c.t_comm : 0.0;
+  c.t_total = c.t_sequential - c.t_hidden;
+  return c;
+}
+
+/// hidden_fraction, t_iter and comm_fraction from the dslash, BLAS and
+/// reduction parts.
+void finish_iteration(IterationCost& it) {
+  it.dslash.hidden_fraction =
+      it.dslash.t_comm > 0.0 ? it.dslash.t_hidden / it.dslash.t_comm : 0.0;
+  it.t_iter = it.dslash.t_total + it.t_linalg + it.t_allreduce;
+  const double comm =
+      (it.dslash.t_total - it.dslash.t_compute) + it.t_allreduce;
+  it.comm_fraction = it.t_iter > 0.0 ? std::max(0.0, comm) / it.t_iter : 0.0;
+}
+
+}  // namespace
+
 IterationCost model_cg_iteration(const Coord& local, const Coord& grid,
                                  int nodes, const MachineModel& m,
                                  const PerfModelOptions& opt) {
   IterationCost it;
   // Normal Schur operator: 4 half-volume dslashes = 2 full dslash
   // applications worth of flops/bytes/halos.
-  DslashCost one = model_dslash(local, grid, m, opt);
-  it.dslash = one;
-  it.dslash.flops *= 2.0;
-  it.dslash.mem_bytes *= 2.0;
-  it.dslash.comm_bytes *= 2.0;
-  it.dslash.messages *= 2;
-  it.dslash.t_compute *= 2.0;
-  it.dslash.t_comm *= 2.0;
-  it.dslash.t_resilience *= 2.0;
-  it.dslash.t_sequential *= 2.0;
-  it.dslash.t_hidden *= 2.0;
-  it.dslash.t_total *= 2.0;
+  const DslashCost one = model_dslash(local, grid, m, opt);
+  add_dslash(it.dslash, one, 2.0);
+  it.dslash.interior_fraction = one.interior_fraction;
 
   // Level-1 ops on the half volume: ~5 axpy/dot passes, 24 reals/site,
   // 2 accesses each. Strictly memory bound.
@@ -150,43 +197,29 @@ IterationCost model_cg_iteration(const Coord& local, const Coord& grid,
   // 2 allreduces over a log2 combining tree.
   const double stages = nodes > 1 ? std::ceil(std::log2(nodes)) : 0.0;
   it.t_allreduce = 2.0 * m.allreduce_latency_us * 1e-6 * stages;
-
-  it.t_iter = it.dslash.t_total + it.t_linalg + it.t_allreduce;
-  const double comm =
-      (it.dslash.t_total - it.dslash.t_compute) + it.t_allreduce;
-  it.comm_fraction = it.t_iter > 0.0 ? std::max(0.0, comm) / it.t_iter : 0.0;
+  finish_iteration(it);
   return it;
 }
 
 IterationCost model_sap_gcr_iteration(const Coord& local, const Coord& grid,
                                       int nodes, const MachineModel& m,
                                       const PerfModelOptions& opt,
-                                      int cycles, int mr_iters) {
+                                      int cycles, int mr_iters,
+                                      const Coord& block) {
   IterationCost it;
   // Block solves: communication-free local dslash sweeps.
   DslashCost local_only = model_dslash(local, Coord{1, 1, 1, 1}, m, opt);
   const double local_sweeps =
       static_cast<double>(cycles) * (2.0 + static_cast<double>(mr_iters));
-  // One global residual-refresh dslash per color per cycle communicates.
+  add_dslash(it.dslash, local_only, local_sweeps);
+  // The outer GCR's operator apply, and one boundary update after every
+  // color sweep but the last.
   DslashCost global = model_dslash(local, grid, m, opt);
-  const double global_sweeps = 2.0 * static_cast<double>(cycles);
-
-  it.dslash.flops =
-      local_only.flops * local_sweeps + global.flops * global_sweeps;
-  it.dslash.mem_bytes =
-      local_only.mem_bytes * local_sweeps + global.mem_bytes * global_sweeps;
-  it.dslash.comm_bytes = global.comm_bytes * global_sweeps;
-  it.dslash.messages = global.messages * static_cast<int>(global_sweeps);
-  it.dslash.t_compute = local_only.t_compute * local_sweeps +
-                        global.t_compute * global_sweeps;
-  it.dslash.t_comm = global.t_comm * global_sweeps;
-  it.dslash.t_sequential = local_only.t_sequential * local_sweeps +
-                           global.t_sequential * global_sweeps;
-  it.dslash.t_hidden = global.t_hidden * global_sweeps;
-  it.dslash.hidden_fraction = global.hidden_fraction;
+  const DslashCost boundary =
+      sap_boundary_update(global, local, grid, block, opt);
+  add_dslash(it.dslash, global, 1.0);
+  add_dslash(it.dslash, boundary, 2.0 * cycles - 1.0);
   it.dslash.interior_fraction = global.interior_fraction;
-  it.dslash.t_total = local_only.t_total * local_sweeps +
-                      global.t_total * global_sweeps;
 
   const double vloc = static_cast<double>(volume_of(local));
   const double prec = static_cast<double>(opt.precision_bytes);
@@ -197,11 +230,7 @@ IterationCost model_sap_gcr_iteration(const Coord& local, const Coord& grid,
   const double stages = nodes > 1 ? std::ceil(std::log2(nodes)) : 0.0;
   // GCR needs ~3 reductions per iteration (orthogonalization + norms).
   it.t_allreduce = 3.0 * m.allreduce_latency_us * 1e-6 * stages;
-
-  it.t_iter = it.dslash.t_total + it.t_linalg + it.t_allreduce;
-  const double comm =
-      (it.dslash.t_total - it.dslash.t_compute) + it.t_allreduce;
-  it.comm_fraction = it.t_iter > 0.0 ? std::max(0.0, comm) / it.t_iter : 0.0;
+  finish_iteration(it);
   return it;
 }
 
@@ -243,23 +272,15 @@ MgIterationCost model_mg_vcycle(const Coord& local, const Coord& grid,
   MgIterationCost out;
   // Fine level. model_sap_gcr_iteration prices one outer GCR iteration
   // wrapped around one smoother apply; the V-cycle runs the smoother
-  // twice (pre + post), so double the cycles, then add the second
-  // residual-refresh dslash the V-cycle does between correction and
-  // post-smoothing.
+  // twice (pre + post), so double the cycles. That also prices the
+  // pre-smoother's last boundary update, whose residual feeds the coarse
+  // correction. Then add the one residual-refresh dslash the V-cycle does
+  // between correction and post-smoothing.
   out.fine = model_sap_gcr_iteration(local, grid, nodes, m, opt,
                                      2 * mg.smoother_cycles,
-                                     mg.smoother_mr_iters);
-  const DslashCost refresh = model_dslash(local, grid, m, opt);
-  out.fine.dslash.flops += refresh.flops;
-  out.fine.dslash.mem_bytes += refresh.mem_bytes;
-  out.fine.dslash.comm_bytes += refresh.comm_bytes;
-  out.fine.dslash.messages += refresh.messages;
-  out.fine.dslash.t_compute += refresh.t_compute;
-  out.fine.dslash.t_comm += refresh.t_comm;
-  out.fine.dslash.t_sequential += refresh.t_sequential;
-  out.fine.dslash.t_hidden += refresh.t_hidden;
-  out.fine.dslash.t_total += refresh.t_total;
-  out.fine.t_iter += refresh.t_total;
+                                     mg.smoother_mr_iters, mg.smoother_block);
+  add_dslash(out.fine.dslash, model_dslash(local, grid, m, opt), 1.0);
+  finish_iteration(out.fine);
 
   // Coarse level: each aggregate becomes one site carrying 2*nvec complex
   // dof; the Galerkin stencil is 9 dense blocks per site.

@@ -79,12 +79,16 @@ IterationCost model_cg_iteration(const Coord& local, const Coord& grid,
                                  const PerfModelOptions& opt);
 
 /// One SAP-preconditioned GCR iteration: `cycles * (mr_iters + 2)` local
-/// (communication-free) block dslash sweeps plus one global dslash and
-/// 2(+k) reductions. Captures the DD trade: more local flops, less halo.
+/// (communication-free) block dslash sweeps, one global dslash, the
+/// `2 * cycles - 1` boundary updates of SAP's block-local residual (the
+/// share of a dslash's hops that cross faces of `block`, with a full
+/// dslash's halo traffic), and 3 reductions. Captures the DD trade: more
+/// local flops, less halo.
 IterationCost model_sap_gcr_iteration(const Coord& local, const Coord& grid,
                                       int nodes, const MachineModel& m,
                                       const PerfModelOptions& opt,
-                                      int cycles, int mr_iters);
+                                      int cycles, int mr_iters,
+                                      const Coord& block = {2, 2, 2, 2});
 
 /// Multigrid geometry/cost knobs the model needs (mirrors mg::MgParams
 /// without pulling the mg subsystem into the comm layer).
@@ -93,14 +97,16 @@ struct MgModelParams {
   int nvec = 8;              ///< near-null vectors; 2*nvec coarse dof/site
   int smoother_cycles = 2;   ///< SAP cycles per smoother apply
   int smoother_mr_iters = 4; ///< MR steps per block solve
+  Coord smoother_block{2, 2, 2, 2};  ///< SAP block extents
   int coarse_iterations = 16;  ///< coarse GCR iterations per V-cycle
 };
 
 /// One MG-preconditioned GCR outer iteration: a full V-cycle (2 smoother
-/// applies + 2 fine residual refreshes) plus the coarse-level solve. The
-/// coarse grid is tiny, so its halos are latency-dominated — the model
-/// separates t_coarse_comm to make that visible: at scale the coarse
-/// level is the latency floor of the whole method.
+/// applies, the pre-smoother handing back its residual, + 1 fine residual
+/// refresh) plus the coarse-level solve. The coarse grid is tiny, so its
+/// halos are latency-dominated — the model separates t_coarse_comm to
+/// make that visible: at scale the coarse level is the latency floor of
+/// the whole method.
 struct MgIterationCost {
   IterationCost fine;             ///< smoother + fine-grid work
   double coarse_flops = 0.0;      ///< coarse stencil flops per node

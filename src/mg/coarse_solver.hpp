@@ -52,25 +52,25 @@ CoarseSolveResult coarse_gcr_solve(const CoarseOperator<T>& a,
   const T target2 = bnorm2 * static_cast<T>(params.tol) *
                     static_cast<T>(params.tol);
 
+  // Direction slots, allocated on first use and reused across restarts.
   std::vector<CoarseVector<T>> p, ap;
   p.reserve(static_cast<std::size_t>(params.restart_length));
   ap.reserve(static_cast<std::size_t>(params.restart_length));
-  CoarseVector<T> w(n, a.ncols());
 
   T rnorm2 = bnorm2;
+  std::size_t k = 0;  // directions in the current restart cycle
   while (res.iterations < params.max_iterations) {
-    if (static_cast<int>(p.size()) == params.restart_length) {
-      p.clear();
-      ap.clear();
+    if (static_cast<int>(k) == params.restart_length) k = 0;
+    if (k == p.size()) {
+      p.emplace_back(n, a.ncols());
+      ap.emplace_back(n, a.ncols());
     }
-    p.emplace_back(n, a.ncols());
-    ap.emplace_back(n, a.ncols());
-    CoarseVector<T>& pk = p.back();
-    CoarseVector<T>& apk = ap.back();
+    CoarseVector<T>& pk = p[k];
+    CoarseVector<T>& apk = ap[k];
     cblas::copy(pk, r);
     a.apply(apk, pk);
     // Orthogonalize A p against previous directions.
-    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+    for (std::size_t i = 0; i < k; ++i) {
       const Cplx<T> beta = cblas::dot(ap[i], apk);
       cblas::caxpy(-beta, ap[i], apk);
       cblas::caxpy(-beta, p[i], pk);
@@ -85,6 +85,7 @@ CoarseSolveResult coarse_gcr_solve(const CoarseOperator<T>& a,
     const Cplx<T> alpha = cblas::dot(apk, r);
     cblas::caxpy(alpha, pk, x);
     cblas::caxpy(-alpha, apk, r);
+    ++k;
     ++res.iterations;
     rnorm2 = cblas::norm2(r);
     if (rnorm2 <= target2) {

@@ -2,12 +2,14 @@
 // Two-level multigrid V-cycle behind the `Preconditioner<T>` interface,
 // so it drops straight into flexible GCR as a right preconditioner.
 //
-// One apply:   out  = S(in)                          (pre-smooth, SAP)
-//              r    = in - M out                     (fine residual)
+// One apply:   out  = S(in),  r = in - M out         (pre-smooth, SAP)
 //              e_c  = A_c^{-1} R r   (approx.)       (coarse GCR)
 //              out += P e_c                          (coarse correction)
-//              r    = in - M out
+//              r    = in - M out                     (fine residual)
 //              out += S(r)                           (post-smooth)
+//
+// The pre-smoother hands back its block-locally updated residual, so the
+// one fine M apply per cycle is the refresh before post-smoothing.
 //
 // The smoother wipes the high end of the spectrum, the coarse correction
 // the low end — which is why the outer iteration count stays flat as
@@ -49,22 +51,15 @@ class MgPreconditioner final : public Preconditioner<T> {
       static telemetry::Counter& c_fine =
           telemetry::counter("mg.fine.applies");
       c_cycles.add(1);
-      c_fine.add(2);  // the two residual refreshes below
+      c_fine.add(1);  // the residual refresh before post-smoothing
     }
     ensure_workspace(n);
-    const std::span<WilsonSpinor<T>> r(r_.data(), n), mv(mv_.data(), n),
-        z(z_.data(), n);
+    const std::span<WilsonSpinor<T>> r(r_.data(), n), z(z_.data(), n);
 
-    // Pre-smooth from zero: out = S(in).
-    smoother_.apply(out, in);
+    // Pre-smooth from zero: out = S(in), r = in - M out.
+    smoother_.apply(out, in, r);
 
     // Coarse correction on the smoothed residual.
-    m_->apply(mv, std::span<const WilsonSpinor<T>>(out.data(), n));
-    parallel_for(n, [&](std::size_t i) {
-      WilsonSpinor<T> w = in[i];
-      w -= mv[i];
-      r[i] = w;
-    });
     hierarchy_.prolongator->restrict_to(rc_,
                                         std::span<const WilsonSpinor<T>>(
                                             r.data(), n));
@@ -77,11 +72,11 @@ class MgPreconditioner final : public Preconditioner<T> {
     }
     hierarchy_.prolongator->prolong_add(out, xc_);
 
-    // Post-smooth the corrected residual.
-    m_->apply(mv, std::span<const WilsonSpinor<T>>(out.data(), n));
+    // Post-smooth the corrected residual (z holds M out until S(r)).
+    m_->apply(z, std::span<const WilsonSpinor<T>>(out.data(), n));
     parallel_for(n, [&](std::size_t i) {
       WilsonSpinor<T> w = in[i];
-      w -= mv[i];
+      w -= z[i];
       r[i] = w;
     });
     smoother_.apply(z, std::span<const WilsonSpinor<T>>(r.data(), n));
@@ -89,14 +84,15 @@ class MgPreconditioner final : public Preconditioner<T> {
   }
 
   [[nodiscard]] double flops_per_apply() const override {
-    // Two smoother applies + two residual refreshes + transfer ops +
-    // the coarse solve at its iteration cap (an upper bound; the coarse
-    // grid is so small the bound is noise at fine-grid scale).
+    // Two smoother applies (the first also updates its residual) + one
+    // residual refresh + transfer ops + the coarse solve at its iteration
+    // cap (an upper bound; the coarse grid is so small the bound is noise
+    // at fine-grid scale).
     const double transfers = 2.0 * 8.0 *
                              static_cast<double>(m_->geometry().volume()) *
                              hierarchy_.prolongator->ncols() * 6.0;
-    return 2.0 * smoother_.flops_per_apply() + 2.0 * m_->flops_per_apply() +
-           transfers +
+    return smoother_.flops_per_apply(true) + smoother_.flops_per_apply() +
+           m_->flops_per_apply() + transfers +
            static_cast<double>(params_.coarse.max_iterations) *
                hierarchy_.coarse->flops_per_apply();
   }
@@ -113,7 +109,6 @@ class MgPreconditioner final : public Preconditioner<T> {
   void ensure_workspace(std::size_t n) const {
     if (r_.size() != n) {
       r_.resize(n);
-      mv_.resize(n);
       z_.resize(n);
     }
     const std::int64_t nc = hierarchy_.aggregation->coarse().volume();
@@ -128,7 +123,7 @@ class MgPreconditioner final : public Preconditioner<T> {
   MgParams params_;
   SapPreconditioner<T> smoother_;
   MgHierarchy<T> hierarchy_;
-  mutable aligned_vector<WilsonSpinor<T>> r_, mv_, z_;
+  mutable aligned_vector<WilsonSpinor<T>> r_, z_;
   mutable CoarseVector<T> rc_, xc_;
 };
 

@@ -21,6 +21,7 @@ template <typename T>
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
+  /// Writes every element of `out`.
   virtual void apply(std::span<WilsonSpinor<T>> out,
                      std::span<const WilsonSpinor<T>> in) const = 0;
   /// Estimated flops per apply (for throughput accounting).
@@ -57,10 +58,11 @@ SolverResult gcr_solve(const LinearOperator<T>& m,
   }
   const double target2 = params.base.tol * params.base.tol * b_norm2;
 
-  aligned_vector<WilsonSpinor<T>> r_s(n), z_s(n), q_s(n);
-  std::span<WilsonSpinor<T>> r(r_s.data(), n), z(z_s.data(), n),
-      q(q_s.data(), n);
+  aligned_vector<WilsonSpinor<T>> r_s(n);
+  std::span<WilsonSpinor<T>> r(r_s.data(), n);
 
+  // Direction slots z_k = K r and q_k = M z_k, orthogonalized in place:
+  // each allocated on first use and reused across restarts.
   const int mlen = params.restart_length;
   std::vector<aligned_vector<WilsonSpinor<T>>> zk, qk;
   zk.reserve(static_cast<std::size_t>(mlen));
@@ -81,18 +83,21 @@ SolverResult gcr_solve(const LinearOperator<T>& m,
 
   int it = 0;
   while (it < params.base.max_iterations && rr > target2) {
-    zk.clear();
-    qk.clear();
     int k = 0;
     for (; k < mlen && it < params.base.max_iterations && rr > target2;
          ++k, ++it) {
-      // Preconditioned direction.
-      if (precond) {
-        blas::zero(z);
-        precond->apply(z, cspan(r));
-      } else {
-        blas::copy(z, cspan(r));
+      const auto slot = static_cast<std::size_t>(k);
+      if (slot == zk.size()) {
+        zk.emplace_back(n);
+        qk.emplace_back(n);
       }
+      const std::span<WilsonSpinor<T>> z(zk[slot].data(), n),
+          q(qk[slot].data(), n);
+      // Preconditioned direction.
+      if (precond)
+        precond->apply(z, cspan(r));
+      else
+        blas::copy(z, cspan(r));
       m.apply(q, cspan(z));
       // Orthogonalize q against previous directions (modified
       // Gram-Schmidt), updating z consistently.
@@ -117,11 +122,7 @@ SolverResult gcr_solve(const LinearOperator<T>& m,
       blas::caxpy(beta, cspan(z), x);
       blas::caxpy(Cplx<T>(-beta.re, -beta.im), cspan(q), r);
       rr = blas::norm2(cspan(r));
-
-      // Store direction.
-      qk.emplace_back(q.begin(), q.end());
-      zk.emplace_back(z.begin(), z.end());
-      qk_norm2[static_cast<std::size_t>(k)] = qq;
+      qk_norm2[slot] = qq;
 
       res.flops += op_flops + pre_flops +
                    static_cast<double>(n) * (6.0 + 2.0 * k) * 48.0;
@@ -134,13 +135,13 @@ SolverResult gcr_solve(const LinearOperator<T>& m,
   res.iterations = it;
   res.converged = rr <= target2;
   if (params.base.check_true_residual) {
-    m.apply(q, cspan(x));
+    m.apply(r, cspan(x));
     parallel_for(n, [&](std::size_t i) {
       WilsonSpinor<T> w = b[i];
-      w -= q[i];
-      q[i] = w;
+      w -= r[i];
+      r[i] = w;
     });
-    res.relative_residual = std::sqrt(blas::norm2(cspan(q)) / b_norm2);
+    res.relative_residual = std::sqrt(blas::norm2(cspan(r)) / b_norm2);
     res.converged =
         res.converged && res.relative_residual <= 10 * params.base.tol;
   } else {

@@ -1,19 +1,37 @@
 #pragma once
 // SAP — the Schwarz alternating procedure (Lüscher), used as a flexible
-// right preconditioner for GCR.
+// right preconditioner for GCR and as the multigrid smoother.
 //
 // The lattice is partitioned into non-overlapping rectangular blocks,
 // red/black colored by block-coordinate parity. One SAP cycle sweeps the
-// red blocks, updates the global residual, then sweeps the black blocks.
-// Each block solve inverts the Wilson operator restricted to the block
-// (Dirichlet cut: hopping terms leaving the block are dropped) with a few
-// minimal-residual iterations.
+// red blocks, then the black blocks. Each block solve inverts the Wilson
+// operator restricted to the block (Dirichlet cut: hopping terms leaving
+// the block are dropped) with a few minimal-residual iterations.
+//
+// The residual rho = in - M out is kept block-locally, as in Lüscher's
+// original scheme (hep-lat/0310048). A sweep over one color has two
+// phases:
+//   1. block MR in parallel over the swept blocks. Each adds its
+//      correction delta to `out`; on the block's own sites its MR
+//      residual becomes rho.
+//   2. after the join, every site with a neighbour across a block face
+//      in a swept block gains kappa times those crossing hops of delta
+//      (M = 1 - kappa D, so off the block -M delta = kappa D delta).
+// No full-lattice M apply is made. The update after the last sweep runs
+// only when the caller asks for the residual (the V-cycle does).
 //
 // Why it matters at scale: the block solves touch only block-local data —
-// in a distributed run they generate *no network traffic*. Only the global
-// residual updates communicate. SAP therefore trades halo bandwidth for
-// local flops, which is exactly the crossover bench_sap models.
+// in a distributed run they generate *no network traffic*. Only the
+// boundary updates communicate (delta's ghost faces), and their compute
+// is the fraction of a dslash's hops that cross block faces. SAP
+// therefore trades halo bandwidth for local flops, which is exactly the
+// crossover bench_sap models.
+//
+// Determinism: phase 1 writes only its own block's sites, and phase 2
+// sums each site's crossing hops serially in a fixed order (mu = 0..3,
+// forward then backward), so results are bit-identical for any pool size.
 
+#include <bit>
 #include <vector>
 
 #include "dirac/wilson.hpp"
@@ -40,15 +58,23 @@ class SapPreconditioner final : public Preconditioner<T> {
 
   void apply(std::span<WilsonSpinor<T>> out,
              std::span<const WilsonSpinor<T>> in) const override {
+    apply(out, in, {});
+  }
+
+  /// out = S(in). A non-empty `residual` (distinct from `in` and `out`)
+  /// also receives in - M out, for one more boundary update.
+  void apply(std::span<WilsonSpinor<T>> out,
+             std::span<const WilsonSpinor<T>> in,
+             std::span<WilsonSpinor<T>> residual) const {
     const std::size_t n = in.size();
+    const bool want_residual = !residual.empty();
     LQCD_REQUIRE(out.size() == n &&
                      n == static_cast<std::size_t>(
-                              m_->geometry().volume()),
+                              m_->geometry().volume()) &&
+                     (!want_residual || residual.size() == n),
                  "SAP span sizes");
-    if (rho_.size() != n) {
-      rho_.resize(n);
-      mv_.resize(n);
-    }
+    if (delta_.size() != n) delta_.resize(n);
+    if (!want_residual && rho_.size() != n) rho_.resize(n);
     if (telemetry::enabled()) {
       // Block-local Wilson applies, in site units: every cycle runs
       // block_mr_iterations MR steps over each block, and the red+black
@@ -61,34 +87,36 @@ class SapPreconditioner final : public Preconditioner<T> {
                   params_.block_mr_iterations *
                   m_->geometry().volume());
     }
-    std::span<WilsonSpinor<T>> rho(rho_.data(), n);
-    std::span<WilsonSpinor<T>> mv(mv_.data(), n);
+    const std::span<WilsonSpinor<T>> rho =
+        want_residual ? residual : std::span<WilsonSpinor<T>>(rho_.data(), n);
+    const std::span<WilsonSpinor<T>> delta(delta_.data(), n);
 
     blas::zero(out);
     blas::copy(rho, in);  // rho = in - M*0
 
     for (int cycle = 0; cycle < params_.cycles; ++cycle) {
       for (int color = 0; color < 2; ++color) {
-        sweep_color(out, std::span<const WilsonSpinor<T>>(rho.data(), n),
-                    color);
-        // Refresh the global residual: rho = in - M out.
-        m_->apply(mv, std::span<const WilsonSpinor<T>>(out.data(), n));
-        parallel_for(n, [&](std::size_t i) {
-          WilsonSpinor<T> w = in[i];
-          w -= mv[i];
-          rho[i] = w;
-        });
+        sweep_color(out, rho, delta, color);
+        const bool last = cycle + 1 == params_.cycles && color == 1;
+        if (!last || want_residual) update_boundary(rho, delta, color);
       }
     }
   }
 
   [[nodiscard]] double flops_per_apply() const override {
-    // cycles * (2 global M applies + block MR work ~ block_iters local M).
-    const double global = 2.0 * params_.cycles * m_->flops_per_apply();
+    return flops_per_apply(false);
+  }
+
+  /// Block MR work (~ block_mr_iterations local M per cycle) plus the
+  /// boundary updates; `with_residual` adds the one after the last sweep.
+  [[nodiscard]] double flops_per_apply(bool with_residual) const {
     const double local = params_.cycles *
                          static_cast<double>(params_.block_mr_iterations) *
                          m_->flops_per_apply();
-    return global + local;
+    double boundary =
+        params_.cycles * (boundary_flops_[0] + boundary_flops_[1]);
+    if (!with_residual && params_.cycles > 0) boundary -= boundary_flops_[1];
+    return local + boundary;
   }
 
   [[nodiscard]] const SapParams& params() const { return params_; }
@@ -100,6 +128,13 @@ class SapPreconditioner final : public Preconditioner<T> {
     std::vector<std::int32_t> fwd[Nd];   // local index of fwd nbr or -1
     std::vector<std::int32_t> bwd[Nd];   // local index of bwd nbr or -1
     int color = 0;
+  };
+
+  /// A site with neighbours across a block face in blocks of one color:
+  /// bit 2 mu marks the forward crossing hop, bit 2 mu + 1 the backward.
+  struct BoundarySite {
+    std::int64_t site;
+    unsigned hops;
   };
 
   void build_blocks() {
@@ -132,6 +167,16 @@ class SapPreconditioner final : public Preconditioner<T> {
       blk.sites.push_back(s);
     }
     // Local neighbor tables with the Dirichlet cut at block boundaries.
+    // A cut hop carries its source block's correction into s, so it is a
+    // crossing hop for that block's color. With an odd block count along
+    // a direction, same-color blocks meet across the wrap, so swept sites
+    // can receive crossing hops too.
+    std::vector<unsigned> crossing[2];
+    for (auto& c : crossing) c.assign(static_cast<std::size_t>(vol), 0u);
+    const auto color_of = [&](std::int64_t s) {
+      const std::int32_t b = block_of[static_cast<std::size_t>(s)];
+      return blocks_[static_cast<std::size_t>(b)].color;
+    };
     for (auto& blk : blocks_) {
       const auto bs = blk.sites.size();
       for (int mu = 0; mu < Nd; ++mu) {
@@ -159,9 +204,54 @@ class SapPreconditioner final : public Preconditioner<T> {
               fwd_in ? local_of[static_cast<std::size_t>(f)] : -1;
           blk.bwd[mu][i] =
               bwd_in ? local_of[static_cast<std::size_t>(bwd)] : -1;
+          if (!fwd_in)
+            crossing[color_of(f)][static_cast<std::size_t>(s)] |=
+                1u << (2 * mu);
+          if (!bwd_in)
+            crossing[color_of(bwd)][static_cast<std::size_t>(s)] |=
+                1u << (2 * mu + 1);
         }
       }
     }
+    // Per-color boundary lists in ascending site order, priced at one
+    // dslash hop per crossing hop plus the kappa scale and add per site.
+    for (int c = 0; c < 2; ++c) {
+      double hops = 0.0;
+      for (std::int64_t s = 0; s < vol; ++s) {
+        const unsigned h = crossing[c][static_cast<std::size_t>(s)];
+        if (h == 0) continue;
+        boundary_[c].push_back({s, h});
+        hops += std::popcount(h);
+      }
+      boundary_flops_[c] = hops * (kDslashFlopsPerSite / (2.0 * Nd)) +
+                           48.0 * static_cast<double>(boundary_[c].size());
+    }
+  }
+
+  /// acc += (1 - gamma_mu) U_mu(s) psi, psi the forward neighbour's value.
+  template <int Mu>
+  void hop_fwd(WilsonSpinor<T>& acc, std::int64_t s,
+               const WilsonSpinor<T>& psi) const {
+    const GaugeField<T>& u = m_->fermion_links();
+    const HalfSpinor<T> h = project<Mu, -1>(psi);
+    HalfSpinor<T> uh;
+    uh.s[0] = mul(u(s, Mu), h.s[0]);
+    uh.s[1] = mul(u(s, Mu), h.s[1]);
+    accum_reconstruct<Mu, -1>(acc, uh);
+  }
+
+  /// acc += (1 + gamma_mu) U_mu^†(s - mu) psi, psi the backward
+  /// neighbour's value.
+  template <int Mu>
+  void hop_bwd(WilsonSpinor<T>& acc, std::int64_t s,
+               const WilsonSpinor<T>& psi) const {
+    const GaugeField<T>& u = m_->fermion_links();
+    const std::int64_t sm = m_->geometry().bwd(s, Mu);
+    const HalfSpinor<T> h = project<Mu, +1>(psi);
+    HalfSpinor<T> uh;
+    uh.s[0] = adj_mul(u(sm, Mu), h.s[0]);
+    uh.s[1] = adj_mul(u(sm, Mu), h.s[1]);
+    accum_reconstruct<Mu, +1>(acc, uh);
   }
 
   /// Masked block hopping: local spans, Dirichlet outside the block.
@@ -169,28 +259,11 @@ class SapPreconditioner final : public Preconditioner<T> {
   void accum_hop_block(WilsonSpinor<T>& acc, const Block& blk,
                        std::span<const WilsonSpinor<T>> in,
                        std::size_t i) const {
-    const GaugeField<T>& u = m_->fermion_links();
-    const LatticeGeometry& geo = m_->geometry();
     const std::int64_t s = blk.sites[i];
-    const std::int32_t fl = blk.fwd[Mu][i];
-    if (fl >= 0) {
-      const HalfSpinor<T> h =
-          project<Mu, -1>(in[static_cast<std::size_t>(fl)]);
-      HalfSpinor<T> uh;
-      uh.s[0] = mul(u(s, Mu), h.s[0]);
-      uh.s[1] = mul(u(s, Mu), h.s[1]);
-      accum_reconstruct<Mu, -1>(acc, uh);
-    }
-    const std::int32_t bl = blk.bwd[Mu][i];
-    if (bl >= 0) {
-      const std::int64_t sm = geo.bwd(s, Mu);
-      const HalfSpinor<T> h =
-          project<Mu, +1>(in[static_cast<std::size_t>(bl)]);
-      HalfSpinor<T> uh;
-      uh.s[0] = adj_mul(u(sm, Mu), h.s[0]);
-      uh.s[1] = adj_mul(u(sm, Mu), h.s[1]);
-      accum_reconstruct<Mu, +1>(acc, uh);
-    }
+    if (const std::int32_t fl = blk.fwd[Mu][i]; fl >= 0)
+      hop_fwd<Mu>(acc, s, in[static_cast<std::size_t>(fl)]);
+    if (const std::int32_t bl = blk.bwd[Mu][i]; bl >= 0)
+      hop_bwd<Mu>(acc, s, in[static_cast<std::size_t>(bl)]);
   }
 
   /// out_local = M_block in_local = in - kappa * masked_hop(in).
@@ -210,10 +283,12 @@ class SapPreconditioner final : public Preconditioner<T> {
     }
   }
 
-  /// Approximate block solve with `block_mr_iterations` MR steps,
-  /// accumulating the correction into the relevant sites of v.
+  /// Phase 1: approximate solves on the blocks of `color` with
+  /// `block_mr_iterations` MR steps. On its own sites each block adds its
+  /// correction d to v, writes its MR residual to rho and d to delta.
   void sweep_color(std::span<WilsonSpinor<T>> v,
-                   std::span<const WilsonSpinor<T>> rho, int color) const {
+                   std::span<WilsonSpinor<T>> rho,
+                   std::span<WilsonSpinor<T>> delta, int color) const {
     parallel_for_chunks(
         blocks_.size(),
         [&](std::size_t lo, std::size_t hi, std::size_t) {
@@ -247,17 +322,55 @@ class SapPreconditioner final : public Preconditioner<T> {
                 r[i] -= tq;
               }
             }
-            for (std::size_t i = 0; i < bs; ++i)
-              v[static_cast<std::size_t>(blk.sites[i])] += d[i];
+            for (std::size_t i = 0; i < bs; ++i) {
+              const auto s = static_cast<std::size_t>(blk.sites[i]);
+              v[s] += d[i];
+              rho[s] = r[i];
+              delta[s] = d[i];
+            }
           }
         });
+  }
+
+  /// Phase 2 after sweeping `color`: rho += kappa * (crossing hops of
+  /// delta) at every site with a neighbour across a face in a swept
+  /// block. Each site is written once, its hops summed in a fixed order.
+  void update_boundary(std::span<WilsonSpinor<T>> rho,
+                       std::span<const WilsonSpinor<T>> delta,
+                       int color) const {
+    const std::vector<BoundarySite>& sites = boundary_[color];
+    const T k = static_cast<T>(m_->kappa());
+    parallel_for(sites.size(), [&](std::size_t j) {
+      const BoundarySite& b = sites[j];
+      WilsonSpinor<T> acc{};
+      accum_crossing<0>(acc, b, delta);
+      accum_crossing<1>(acc, b, delta);
+      accum_crossing<2>(acc, b, delta);
+      accum_crossing<3>(acc, b, delta);
+      acc *= k;
+      rho[static_cast<std::size_t>(b.site)] += acc;
+    });
+  }
+
+  template <int Mu>
+  void accum_crossing(WilsonSpinor<T>& acc, const BoundarySite& b,
+                      std::span<const WilsonSpinor<T>> delta) const {
+    const LatticeGeometry& geo = m_->geometry();
+    if (b.hops & (1u << (2 * Mu)))
+      hop_fwd<Mu>(acc, b.site,
+                  delta[static_cast<std::size_t>(geo.fwd(b.site, Mu))]);
+    if (b.hops & (1u << (2 * Mu + 1)))
+      hop_bwd<Mu>(acc, b.site,
+                  delta[static_cast<std::size_t>(geo.bwd(b.site, Mu))]);
   }
 
   const WilsonOperator<T>* m_;
   SapParams params_;
   std::vector<Block> blocks_;
+  std::vector<BoundarySite> boundary_[2];  ///< per swept color
+  double boundary_flops_[2] = {0.0, 0.0};  ///< one update per color
   mutable aligned_vector<WilsonSpinor<T>> rho_;
-  mutable aligned_vector<WilsonSpinor<T>> mv_;
+  mutable aligned_vector<WilsonSpinor<T>> delta_;
 };
 
 }  // namespace lqcd

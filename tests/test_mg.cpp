@@ -190,6 +190,39 @@ TEST(CoarseOperator, GalerkinIdentity) {
   EXPECT_LT(std::sqrt(err) / ref, 1e-12);
 }
 
+TEST(CoarseSolver, RestartsReuseDirectionSlots) {
+  // A restart length far below the iteration count makes every cycle
+  // reuse the direction slots of the one before; the reported residual
+  // must still describe the returned solution.
+  const WilsonOperator<double> m(shared_gauge(), 0.124);
+  const mg::MgParams p = test_params();
+  const SapPreconditioner<double> smoother(m, p.smoother);
+  const mg::MgHierarchy<double> h = mg_setup(m, smoother, p);
+  const mg::CoarseOperator<double>& a = *h.coarse;
+
+  mg::CoarseVector<double> b(a.geometry().volume(), a.ncols());
+  SiteRngFactory rngs(2450);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    CounterRng rng = rngs.make(i);
+    b[i] = Cplxd(rng.gaussian(), rng.gaussian());
+  }
+  mg::CoarseVector<double> x(b.nsites(), b.ncols()), ax(b.nsites(), b.ncols());
+  mg::CoarseSolveParams params;
+  params.tol = 1e-8;
+  params.max_iterations = 400;
+  params.restart_length = 3;
+  const mg::CoarseSolveResult r = mg::coarse_gcr_solve(a, x, b, params);
+  ASSERT_TRUE(r.converged);
+  EXPECT_GT(r.iterations, 3);
+
+  a.apply(ax, x);
+  double err = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) err += norm2(b[i] - ax[i]);
+  const double true_rel = std::sqrt(err / mg::cblas::norm2(b));
+  EXPECT_LE(true_rel, 1e-8);
+  EXPECT_NEAR(true_rel / r.relative_residual, 1.0, 1e-4);
+}
+
 TEST(CoarseOperator, FloatStorageHalvesFootprintAndTracksApply) {
   // compress_store() demotes the stencil to float (second rung of the
   // precision ladder): half the footprint, idempotent, and apply() — which

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "dirac/clover.hpp"
 #include "dirac/eo.hpp"
@@ -10,6 +12,7 @@
 #include "dirac/wilson.hpp"
 #include "gauge/heatbath.hpp"
 #include "linalg/blas.hpp"
+#include "parallel/thread_pool.hpp"
 #include "solver/bicgstab.hpp"
 #include "solver/cg.hpp"
 #include "solver/gcr.hpp"
@@ -207,6 +210,100 @@ TEST(Sap, BlockCountAndApplyShape) {
     ref += norm2(in[s]);
   }
   EXPECT_LT(err / ref, 1.0);
+}
+
+/// A lattice and SAP block shape for the residual oracle.
+struct SapGeometry {
+  Coord dims;
+  Coord block;
+};
+
+/// out = S(in) with the residual SAP hands back, on a hot gauge field.
+struct SapRun {
+  std::vector<WilsonSpinorD> in, out, residual, mout;
+};
+
+SapRun run_sap(const SapGeometry& g) {
+  const LatticeGeometry geo(g.dims);
+  GaugeFieldD u(geo);
+  u.set_random(SiteRngFactory(950));
+  const WilsonOperator<double> m(u, 0.12);
+  SapParams sp;
+  sp.block = g.block;
+  sp.cycles = 2;
+  sp.block_mr_iterations = 4;
+  const SapPreconditioner<double> sap(m, sp);
+  const auto vol = static_cast<std::size_t>(geo.volume());
+  SapRun r{std::vector<WilsonSpinorD>(vol), std::vector<WilsonSpinorD>(vol),
+           std::vector<WilsonSpinorD>(vol), std::vector<WilsonSpinorD>(vol)};
+  fill_random(std::span<WilsonSpinorD>(r.in), 960);
+  sap.apply(std::span<WilsonSpinorD>(r.out), CSpan(r.in),
+            std::span<WilsonSpinorD>(r.residual));
+  // Recomputed with the full operator: in - M out.
+  m.apply(std::span<WilsonSpinorD>(r.mout), CSpan(r.out));
+  for (std::size_t i = 0; i < vol; ++i) r.mout[i] = r.in[i] - r.mout[i];
+
+  // Asking for the residual must not change the smoothed field.
+  std::vector<WilsonSpinorD> plain(vol);
+  sap.apply(std::span<WilsonSpinorD>(plain), CSpan(r.in));
+  const std::size_t bytes = vol * sizeof(WilsonSpinorD);
+  EXPECT_EQ(std::memcmp(plain.data(), r.out.data(), bytes), 0);
+  return r;
+}
+
+/// "L8x8x8x16_b2222": lattice extents, then block extents.
+std::string sap_geometry_name(
+    const ::testing::TestParamInfo<SapGeometry>& info) {
+  std::string name;
+  for (int mu = 0; mu < Nd; ++mu)
+    name += (mu ? "x" : "L") + std::to_string(info.param.dims[mu]);
+  name += "_b";
+  for (int mu = 0; mu < Nd; ++mu)
+    name += std::to_string(info.param.block[mu]);
+  return name;
+}
+
+class SapResidual : public ::testing::TestWithParam<SapGeometry> {};
+
+TEST_P(SapResidual, EqualsInMinusMOut) {
+  const SapRun r = run_sap(GetParam());
+  double err = 0.0, ref = 0.0;
+  for (std::size_t i = 0; i < r.in.size(); ++i) {
+    err += norm2(r.residual[i] - r.mout[i]);
+    ref += norm2(r.mout[i]);
+  }
+  ASSERT_GT(ref, 0.0);
+  EXPECT_LE(std::sqrt(err / ref), 1e-13);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, SapResidual,
+    ::testing::Values(
+        // Two or more blocks per direction, even counts.
+        SapGeometry{{8, 8, 8, 16}, {2, 2, 2, 2}},
+        // Two blocks per direction: the forward and backward neighbour
+        // blocks coincide.
+        SapGeometry{{4, 4, 4, 4}, {2, 2, 2, 2}},
+        // Three blocks along x: same-color blocks meet across the wrap.
+        SapGeometry{{6, 4, 4, 4}, {2, 2, 2, 2}},
+        // One block along x: its hops wrap inside the block.
+        SapGeometry{{4, 4, 4, 4}, {4, 2, 2, 2}},
+        SapGeometry{{8, 8, 8, 8}, {4, 4, 4, 4}}),
+    sap_geometry_name);
+
+TEST(Sap, ResidualBitIdenticalAcrossThreadCounts) {
+  // Phase 1 runs blocks in parallel and phase 2 boundary sites in
+  // parallel; neither may let the pool size into the result.
+  const SapGeometry g{{6, 4, 4, 4}, {2, 2, 2, 2}};
+  ThreadPool::set_global_threads(1);
+  const SapRun a = run_sap(g);
+  ThreadPool::set_global_threads(3);
+  const SapRun b = run_sap(g);
+  ThreadPool::set_global_threads(0);  // restore the default pool
+
+  const std::size_t bytes = a.out.size() * sizeof(WilsonSpinorD);
+  EXPECT_EQ(std::memcmp(a.out.data(), b.out.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(a.residual.data(), b.residual.data(), bytes), 0);
 }
 
 TEST(MixedCg, MatchesDoubleCg) {
