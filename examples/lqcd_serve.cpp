@@ -36,7 +36,6 @@
 #include "comm/transport/transport.hpp"
 #include "core/api.hpp"
 #include "gauge/io.hpp"
-#include "serve/dist_service.hpp"
 #include "serve/service.hpp"
 #include "util/atomic_io.hpp"
 #include "util/cli.hpp"
@@ -161,8 +160,8 @@ int cmd_run(Cli& cli) {
   // Under lqcd_launch (LQCD_TRANSPORT set) the same verb becomes one
   // SPMD rank of a multi-process campaign: rank 0 coordinates and owns
   // the journal, the other ranks are solver workers. The modeled fault
-  // flags above drive the *virtual* service only; multi-process drills
-  // inject real faults through the launcher (--kill-rank / --die-rank).
+  // flags above drive in-process runs only; multi-process drills inject
+  // real faults through the launcher (--kill-rank / --die-rank).
   if (std::getenv("LQCD_TRANSPORT") != nullptr) {
     const std::unique_ptr<transport::Transport> tp =
         transport::make_transport_from_env();

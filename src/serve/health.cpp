@@ -4,15 +4,6 @@
 
 namespace lqcd::serve {
 
-const char* to_string(LaneHealth h) {
-  switch (h) {
-    case LaneHealth::Healthy: return "healthy";
-    case LaneHealth::Suspect: return "suspect";
-    case LaneHealth::Dead: return "dead";
-  }
-  return "?";
-}
-
 LaneHealthModel::LaneHealthModel(int lanes, int deadline_misses)
     : health_(static_cast<std::size_t>(lanes), LaneHealth::Healthy),
       misses_(static_cast<std::size_t>(lanes), 0),

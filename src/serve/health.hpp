@@ -11,17 +11,18 @@
 // LPT-redistributed over the survivors. A suspect lane that completes a
 // task on time recovers to healthy.
 //
-// Transitions are driven only by the deterministic slot iteration in
-// CampaignService::run(), so health decisions — like everything else in
-// the service — are a pure function of (spec, fault schedule, journal).
+// Transitions are driven only by the campaign coordinator's slot loop
+// (serve/service.hpp), the one place lane health lives: modeled deadline
+// misses and heartbeats, and mark_dead() for a journaled LaneDead or a
+// worker process that really died. In-process, health decisions — like
+// everything else in the service — are a pure function of (spec, fault
+// schedule, journal).
 
 #include <vector>
 
 namespace lqcd::serve {
 
 enum class LaneHealth { Healthy, Suspect, Dead };
-
-[[nodiscard]] const char* to_string(LaneHealth h);
 
 class LaneHealthModel {
  public:
@@ -49,7 +50,8 @@ class LaneHealthModel {
   /// mark suspect without advancing the death streak.
   void suspect(int lane);
 
-  /// Force-mark dead (replaying a journaled LaneDead decision).
+  /// Force-mark dead (replaying a journaled LaneDead decision, or a
+  /// worker process the transport saw die).
   void mark_dead(int lane);
 
  private:

@@ -1,9 +1,10 @@
 #pragma once
 // Deterministic task sharding for the campaign service.
 //
-// The service executes on a *virtual* cluster of `ranks` lanes (the same
-// modeling stance as comm/machine.hpp: we reproduce the scheduling
-// decisions of a multi-node campaign runner inside one process). Tasks
+// The campaign coordinator (serve/service.hpp) shards over `ranks` lanes,
+// one per worker: in-process workers, or worker processes under
+// lqcd_launch. Both are priced on the spec's modeled machine (the same
+// modeling stance as comm/machine.hpp), never on wall-clock time. Tasks
 // are assigned to lanes by LPT (longest-processing-time-first) greedy
 // bin packing over a modeled cost, with deterministic tie-breaking —
 // identical specs always shard identically, which the journal replay

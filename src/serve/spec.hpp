@@ -52,7 +52,7 @@ struct CampaignSpec {
   int block = 4;  ///< multi-RHS width fed to make_block_solver (1..12)
 
   // Scheduling.
-  int ranks = 4;                     ///< virtual service lanes to shard over
+  int ranks = 4;                     ///< lanes (workers) to shard over
   std::string machine = "cluster";   ///< comm/machine.hpp preset name
   int max_retries = 2;               ///< transient-failure budget per task
 

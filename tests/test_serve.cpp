@@ -2,7 +2,8 @@
 // CRC-framed journal (replay, torn tails, corruption), deterministic
 // sharding, the headline contract — a killed campaign resumes without
 // recomputing any finished task, journaling byte-identical results — and
-// the distributed coordinator journaling what the virtual service does.
+// the one coordinator journaling the same decisions over in-process and
+// rank-thread workers.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -18,9 +19,10 @@
 #include "comm/transport/transport.hpp"
 #include "gauge/heatbath.hpp"
 #include "gauge/io.hpp"
-#include "serve/dist_service.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace lqcd::serve {
 namespace {
@@ -273,10 +275,33 @@ TEST(CampaignService, RunsCampaignAndWritesResult) {
   EXPECT_EQ(out2.skipped, 4);
 }
 
-// One journal vocabulary for both coordinators: a 1-worker distributed
-// campaign over a 2-rank in-process group (one thread per rank) journals
-// the same (type, payload) records, in the same order, as the virtual
-// service running the same spec on one lane.
+/// run_distributed_campaign on one thread per rank of an in-process
+/// group; every rank's outcome, rank 0's first.
+std::vector<CampaignOutcome> run_on_rank_threads(const CampaignSpec& spec,
+                                                 int nranks) {
+  auto eps = transport::make_inprocess_group(nranks);
+  const auto n = static_cast<std::size_t>(nranks);
+  std::vector<CampaignOutcome> outs(n);
+  std::vector<std::exception_ptr> errs(n);
+  std::vector<std::thread> ranks;
+  for (std::size_t r = 0; r < n; ++r)
+    ranks.emplace_back([&, r] {
+      try {
+        outs[r] = run_distributed_campaign(spec, *eps[r]);
+      } catch (...) {
+        errs[r] = std::current_exception();
+      }
+    });
+  for (std::thread& t : ranks) t.join();
+  for (const std::exception_ptr& e : errs)
+    if (e) std::rethrow_exception(e);
+  return outs;
+}
+
+// One coordinator, two entry points: a 1-worker distributed campaign
+// over a 2-rank in-process group (one thread per rank) journals the same
+// (type, payload) records, in the same order, as CampaignService::run
+// running the same spec on one lane.
 TEST(DistributedCampaign, JournalReplaysLikeVirtualService) {
   const std::string dir = scratch("dist");
   CampaignSpec spec = small_spec(dir);
@@ -290,21 +315,7 @@ TEST(DistributedCampaign, JournalReplaysLikeVirtualService) {
   fs::remove(service.journal_path());
   fs::remove(dir + "/result.json");
 
-  auto eps = transport::make_inprocess_group(2);
-  std::vector<CampaignOutcome> outs(2);
-  std::vector<std::exception_ptr> errs(2);
-  std::vector<std::thread> ranks;
-  for (std::size_t r = 0; r < 2; ++r)
-    ranks.emplace_back([&, r] {
-      try {
-        outs[r] = run_distributed_campaign(spec, *eps[r]);
-      } catch (...) {
-        errs[r] = std::current_exception();
-      }
-    });
-  for (std::thread& t : ranks) t.join();
-  for (const std::exception_ptr& e : errs)
-    if (e) std::rethrow_exception(e);
+  const std::vector<CampaignOutcome> outs = run_on_rank_threads(spec, 2);
   EXPECT_TRUE(outs[0].finished);
   EXPECT_EQ(outs[0].completed, 4);
 
@@ -315,6 +326,49 @@ TEST(DistributedCampaign, JournalReplaysLikeVirtualService) {
     EXPECT_EQ(got[i].type, want[i].type) << "record " << i;
     EXPECT_EQ(got[i].payload, want[i].payload) << "record " << i;
   }
+}
+
+/// Pins the fork-join pool to one worker for the scope: rank threads
+/// sharing the process-wide pool would race run_chunks.
+struct SerialPool {
+  SerialPool() { ThreadPool::set_global_threads(1); }
+  ~SerialPool() { ThreadPool::set_global_threads(0); }
+  SerialPool(const SerialPool&) = delete;
+  SerialPool& operator=(const SerialPool&) = delete;
+};
+
+// A campaign started in-process resumes on rank-thread workers: the
+// journaled speculative replica replays as a replica, not as a move off
+// a dead lane, and every task still journals exactly one TaskDone.
+TEST(DistributedCampaign, ResumeReplaysSpeculativeReplicaAsReplica) {
+  const SerialPool serial;
+  const std::string dir = scratch("cross_mode");
+  // Lane 0 straggles on its first task at epoch 0 (replicated onto lane
+  // 1); lane 1 is killed at epoch 3, its second dispatch.
+  FaultInjector faults(37);
+  FaultSpec straggly;
+  straggly.task_straggle_prob = 1.0;
+  straggly.task_straggle_mult = 8.0;
+  faults.set_rank_spec(0, straggly);
+  faults.set_event_budget(1);
+  faults.schedule_kill(/*rank=*/1, /*epoch=*/3);
+  CampaignService service(small_spec(dir), {.faults = &faults});
+  EXPECT_THROW(service.run(), TransientError);
+  const CampaignStatus mid = CampaignService::status(service.journal_path());
+  ASSERT_EQ(mid.speculative_tasks, 1);
+  ASSERT_LT(mid.done, 4);
+
+  const CampaignOutcome out = run_on_rank_threads(small_spec(dir), 3)[0];
+  EXPECT_TRUE(out.finished);
+  EXPECT_EQ(out.tasks_reassigned, 0);
+  EXPECT_EQ(out.lanes_lost, 0);
+  EXPECT_EQ(out.skipped + out.completed, 4);
+  // done_payloads fails the test on a second TaskDone for any task.
+  EXPECT_EQ(done_payloads(service.journal_path()).size(), 4u);
+  const CampaignStatus st = CampaignService::status(service.journal_path());
+  EXPECT_TRUE(st.finished);
+  EXPECT_EQ(st.tasks_reassigned, 0);
+  EXPECT_EQ(st.speculative_tasks, 1);
 }
 
 TEST(CampaignService, KillResumeRecomputesNothing) {
@@ -369,6 +423,40 @@ TEST(CampaignService, TransientFaultsAreRetried) {
   for (const Record& r : replay_journal(service.journal_path()).records)
     failed_frames += r.type == RecordType::TaskFailed;
   EXPECT_EQ(failed_frames, 2);
+}
+
+// The coordinator counts retries itself: perfbench runs its untraced
+// units with telemetry off and charges failed column solves from
+// transient_failures.
+TEST(CampaignService, RetriesAreCountedWithTelemetryOff) {
+  telemetry::set_enabled(false);
+  const std::string dir = scratch("retry_untraced");
+  FaultInjector faults(13, {.drop_prob = 1.0});
+  faults.set_event_budget(2);  // the TransientFaultsAreRetried schedule
+  CampaignService service(small_spec(dir), {.faults = &faults});
+  const CampaignOutcome out = service.run();
+  telemetry::set_enabled(true);
+  EXPECT_TRUE(out.finished);
+  EXPECT_EQ(out.transient_failures, 2);
+}
+
+// In-process workers share the coordinator's config cache: each config
+// loads once per campaign, not once per lane that uses it.
+TEST(CampaignService, LanesShareOneConfigCache) {
+  telemetry::set_enabled(true);
+  const std::string dir = scratch("config_cache");
+  CampaignSpec spec = small_spec(dir);
+  const std::string second = dir + "/config_1.lqcd";
+  fs::copy_file(shared_config(), second);
+  spec.configs = {shared_config(), second};
+  spec.ranks = 4;
+  CampaignService service(spec);
+  const std::int64_t before =
+      telemetry::counter("serve.config_loads").value();
+  const CampaignOutcome out = service.run();
+  EXPECT_EQ(out.completed, 8);
+  EXPECT_EQ(telemetry::counter("serve.config_loads").value() - before,
+            static_cast<std::int64_t>(spec.configs.size()));
 }
 
 TEST(CampaignService, ExhaustedRetryBudgetIsFatal) {
