@@ -9,14 +9,12 @@
 // kill/resume lives loop, and the soak asserts the service's whole
 // robustness contract:
 //
-//   1. Completion: every surviving campaign journals physics payloads
-//      byte-identical to a fault-free reference run — exactly one
-//      TaskDone per task, regardless of which lane (or replica) ran it.
-//      The one sanctioned deviation: a task that survived an injected
-//      transient drop retried on the scalar recovery pipeline (eo_cg, by
-//      design — see serve/service.hpp), so its payload records the retry
-//      and its correlator agrees with the reference to solver tolerance
-//      instead of bit-for-bit.
+//   1. Completion: every surviving campaign journals exactly one
+//      TaskDone per task, regardless of which lane (or replica) ran it,
+//      and each payload is byte-identical to the fault-free reference
+//      run's once its `attempt` field is set aside. A retry reruns the
+//      same pipeline (see serve/service.hpp), so a task that survived
+//      injected transient drops differs in that field alone.
 //   2. No recompute: across every resume boundary, a task that was done
 //      before the crash never gets another TaskRunning frame after it.
 //   3. Clean failure: a campaign whose lanes all die raises FatalError,
@@ -34,7 +32,6 @@
 // the machine-readable artifact (bench/BENCH_chaos.json is a reference).
 // Exit code 1 when any invariant fails.
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -124,36 +121,14 @@ std::map<int, std::string> done_payloads(const std::string& journal) {
   return out;
 }
 
-/// Tasks with at least one TaskFailed frame: these retried on the scalar
-/// recovery pipeline, the one sanctioned payload deviation.
-std::set<int> retried_tasks(const std::string& journal) {
-  std::set<int> out;
-  for (const serve::Record& r : serve::replay_journal(journal).records)
-    if (r.type == serve::RecordType::TaskFailed)
-      out.insert(json::Value::parse(r.payload).get_or("task", -1));
-  return out;
-}
-
-/// Same physics as the reference payload: identical task identity and a
-/// pion correlator matching to solver tolerance (both pipelines converged
-/// to 1e-7; 1e-4 relative leaves two decades of slack).
-bool physics_equivalent(const std::string& got_raw,
-                        const std::string& want_raw) {
-  const json::Value got = json::Value::parse(got_raw);
-  const json::Value want = json::Value::parse(want_raw);
-  for (const char* key : {"config", "source"})
-    if (got.at(key).as_string() != want.at(key).as_string()) return false;
-  if (got.at("kappa").as_double() != want.at("kappa").as_double())
-    return false;
-  const json::Value& a = got.at("pion");
-  const json::Value& b = want.at("pion");
-  if (a.size() != b.size()) return false;
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    const double x = a[t].as_double(), y = b[t].as_double();
-    if (std::abs(x - y) > 1e-4 * (1.0 + std::abs(x) + std::abs(y)))
-      return false;
-  }
-  return true;
+/// A TaskDone payload with its `attempt` line cut out: the one field in
+/// which a retried task's payload may differ from the reference's.
+std::string without_attempt(std::string payload) {
+  const std::size_t at = payload.find("\"attempt\":");
+  if (at == std::string::npos) return payload;
+  const std::size_t line = payload.rfind('\n', at) + 1;
+  payload.erase(line, payload.find('\n', at) + 1 - line);
+  return payload;
 }
 
 }  // namespace
@@ -186,7 +161,6 @@ int main(int argc, char** argv) {
     spec.kappas = {0.110, 0.115};
     spec.sources = {"point:0,0,0,0", "wall:0"};
     spec.tol = 1e-7;
-    spec.block = 4;
     spec.ranks = 2;
     spec.max_retries = 4;  // above every drop budget: only lane loss kills
     spec.output = output;
@@ -304,19 +278,13 @@ int main(int argc, char** argv) {
       faulted_seconds_sum += seed_timer.seconds();  // completed runs only
       ++completed;
       const auto payloads = done_payloads(journal);
-      const std::set<int> retried = retried_tasks(journal);
       for (const auto& [id, want] : ref_payloads) {
         const auto it = payloads.find(id);
-        if (it == payloads.end()) {
+        if (it == payloads.end())
           fail("task " + std::to_string(id) + " missing from results");
-        } else if (retried.count(id)) {
-          if (!physics_equivalent(it->second, want))
-            fail("retried task " + std::to_string(id) +
-                 " physics differs from reference");
-        } else if (it->second != want) {
+        else if (without_attempt(it->second) != without_attempt(want))
           fail("task " + std::to_string(id) +
                " payload not byte-identical to fault-free reference");
-        }
       }
       int done_frames = 0;
       std::set<int> distinct;

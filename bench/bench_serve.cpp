@@ -1,19 +1,10 @@
-// Experiment T7: the propagator campaign service and the multi-RHS block
-// solver behind it.
+// Experiment T7: the propagator campaign service, end to end.
 //
-//  T7a  block-size sweep — one full 12-column propagator on a thermalized
-//       configuration, solved with block_cg at K = 1, 2, 4, 6, 12 and
-//       with column-by-column eo_cg as the baseline. The figure of merit
-//       is gauge-field traffic: the dslash.gauge_site_loads counter
-//       charges one link-bundle load per site per sweep, and the block
-//       kernel amortizes that load over the K resident spinors — so
-//       loads per propagator should fall ~ 1/K at equal iteration
-//       counts. Wall time rides along but is host-dependent; the counter
-//       ratio is the reproducible claim.
-//  T7b  campaign smoke — a small spec (1 config x 2 kappas x 2 sources)
-//       driven through CampaignService end to end, reporting the serve.*
-//       telemetry counters (tasks, config loads, retries) from the same
-//       lqcd.telemetry/1 stream the service journals into result.json.
+// A small spec (1 config x 2 kappas x 2 sources) is driven through
+// CampaignService, reporting the serve.* telemetry counters (tasks,
+// config loads, retries) from the same lqcd.telemetry/1 stream the
+// service journals into result.json. Every task solves its 12 columns
+// one at a time with eo_cg.
 //
 // --quick shrinks the lattice to 4^4 and loosens the tolerance;
 // --json <path> writes the machine-readable artifact
@@ -22,15 +13,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "gauge/io.hpp"
 #include "serve/service.hpp"
-#include "spectro/propagator.hpp"
 #include "util/cli.hpp"
 #include "util/telemetry.hpp"
-#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace lqcd;
@@ -48,57 +36,9 @@ int main(int argc, char** argv) {
   const LatticeGeometry geo({L, L, L, T});
   const GaugeFieldD u = bench::thermalized(geo, beta, 71);
 
-  bench::rule("T7a: gauge traffic vs block size K (12-column propagator)");
+  bench::rule("T7: campaign service end to end (serve.* telemetry)");
   std::printf("lattice %dx%dx%dx%d, beta=%.2f, kappa=%.4f, tol=%.0e\n", L,
               L, L, T, beta, kappa, tol);
-
-  telemetry::Counter& c_loads = telemetry::counter("dslash.gauge_site_loads");
-
-  struct Point {
-    std::string label;
-    int block = 1;
-    std::int64_t gauge_loads = 0;
-    int iterations = 0;
-    double seconds = 0.0;
-  };
-  std::vector<Point> sweep;
-  const auto run_point = [&](const char* label, SolverKind method,
-                             int block) {
-    PropagatorParams params;
-    params.kappa = kappa;
-    params.solver.tol = tol;
-    params.method = method;
-    params.block = block;
-    Propagator prop(geo);
-    const std::int64_t loads0 = c_loads.value();
-    WallTimer timer;
-    const PropagatorStats stats =
-        compute_propagator(prop, u, params, SourceSpec{});
-    Point p;
-    p.label = label;
-    p.block = block;
-    p.gauge_loads = c_loads.value() - loads0;
-    p.iterations = stats.total_iterations;
-    p.seconds = timer.seconds();
-    LQCD_REQUIRE(stats.converged, "bench_serve: propagator solve failed");
-    sweep.push_back(p);
-    std::printf("%-12s K=%2d  gauge loads %12lld  iters %6d  %7.2fs\n",
-                label, block, static_cast<long long>(p.gauge_loads),
-                p.iterations, p.seconds);
-  };
-
-  run_point("eo_cg", SolverKind::EoCg, 1);
-  for (const int k : {1, 2, 4, 6, 12})
-    run_point("block_cg", SolverKind::BlockCg, k);
-
-  const double base_loads = static_cast<double>(sweep.front().gauge_loads);
-  std::printf("\nShape: block_cg at K shares one link load across K "
-              "columns, so loads fall ~1/K vs the column-by-column "
-              "baseline (K=4: %.2fx, K=12: %.2fx less traffic).\n",
-              base_loads / static_cast<double>(sweep[3].gauge_loads),
-              base_loads / static_cast<double>(sweep.back().gauge_loads));
-
-  bench::rule("T7b: campaign service end to end (serve.* telemetry)");
   const std::string dir = "bench_serve_campaign";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -111,7 +51,6 @@ int main(int argc, char** argv) {
   spec.kappas = {kappa - 0.004, kappa};
   spec.sources = {"point:0,0,0,0", "wall:0"};
   spec.tol = tol;
-  spec.block = 4;
   spec.ranks = 2;
   spec.output = dir;
 
@@ -134,27 +73,12 @@ int main(int argc, char** argv) {
     json::Writer w;
     w.begin_object()
         .field("schema", "lqcd.bench.serve/1")
-        .field("experiment", "block-solver-gauge-traffic")
+        .field("experiment", "campaign-service-smoke")
         .field("telemetry_schema", telemetry::kSchema);
     w.key("lattice").begin_array();
     for (const int d : {L, L, L, T}) w.value(d);
     w.end_array();
     w.field("beta", beta).field("kappa", kappa).field("tol", tol);
-    w.key("sweep").begin_array();
-    for (const Point& p : sweep) {
-      w.begin_object()
-          .field("solver", p.label)
-          .field("block", p.block)
-          .field("gauge_site_loads", static_cast<std::int64_t>(p.gauge_loads))
-          .field("loads_per_column",
-                 static_cast<double>(p.gauge_loads) / 12.0)
-          .field("traffic_reduction_vs_column_cg",
-                 base_loads / static_cast<double>(p.gauge_loads))
-          .field("iterations", p.iterations)
-          .field("seconds", p.seconds)
-          .end_object();
-    }
-    w.end_array();
     w.key("campaign")
         .begin_object()
         .field("tasks_total", outcome.total)

@@ -2,7 +2,7 @@
 //
 //   lqcd_serve submit --spec camp.json [--L 8 --T 8 --beta 5.9
 //                      --configs 2 --kappas 0.120,0.126
-//                      --sources "point:0,0,0,0;wall:0" --block 4
+//                      --sources "point:0,0,0,0;wall:0" --solver eo_cg
 //                      --ranks 4 --output campaign_out]
 //       Thermalize the requested gauge configurations, save them next to
 //       the output directory, and write a validated campaign spec.
@@ -77,10 +77,9 @@ int cmd_submit(Cli& cli) {
 
   CampaignSpec spec;
   spec.name = cli.get_string("name", "campaign");
-  spec.solver = parse_solver_kind(cli.get_string("solver", "block_cg"));
+  spec.solver = parse_solver_kind(cli.get_string("solver", "eo_cg"));
   spec.tol = cli.get_double("tol", 1e-9);
   spec.max_iterations = cli.get_int("max-iterations", 20000);
-  spec.block = cli.get_int("block", 4);
   spec.ranks = cli.get_int("ranks", 4);
   spec.machine = cli.get_string("machine", "cluster");
   spec.max_retries = cli.get_int("max-retries", 2);

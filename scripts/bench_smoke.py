@@ -99,7 +99,7 @@ BENCHES = {
     "bench_serve": (
         ["--quick"],
         "lqcd.bench.serve/1",
-        ["sweep", "campaign"],
+        ["campaign"],
     ),
     "bench_solvers": (
         ["--quick"],

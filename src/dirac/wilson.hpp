@@ -114,6 +114,8 @@ void dslash_full(std::span<WilsonSpinor<T>> out,
         telemetry::counter("dslash.gauge_site_loads");
     c_applies.add(1);
     c_sites.add(geo.volume());
+    // Equal to site_applies here (the SIMD kernels book 1/W of it);
+    // kept because perfbench/ reads it.
     c_gauge.add(geo.volume());
   }
   parallel_for(out.size(), [&](std::size_t s) {

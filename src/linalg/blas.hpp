@@ -16,7 +16,7 @@
 // VectorLattice gather map and walk the same ascending site order,
 // extracting one lane per site, instead of folding an accumulator of
 // lane-vector shape (whose combination order would change with W).
-// Mixed-precision and block-CG residuals are consequently bit-identical
+// CG and mixed-precision CG residuals are consequently bit-identical
 // between the scalar and vectorized builds at any W.
 
 #include <cstdint>

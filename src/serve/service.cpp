@@ -118,13 +118,6 @@ std::string solve_task_payload(const CampaignSpec& spec,
   params.solver.tol = spec.tol;
   params.solver.max_iterations = spec.max_iterations;
   params.method = spec.solver;
-  params.block = spec.block;
-  if (attempt > 0 && spec.solver == SolverKind::BlockCg) {
-    // Retry on the scalar pipeline: eo_cg has full breakdown
-    // recovery, the block path deliberately does not.
-    params.method = SolverKind::EoCg;
-    params.block = 1;
-  }
   Propagator prop(geo);
   const PropagatorStats stats =
       compute_propagator(prop, config, params, source);
@@ -147,7 +140,6 @@ std::string solve_task_payload(const CampaignSpec& spec,
       .field("kappa", kappa)
       .field("source", spec.sources[static_cast<std::size_t>(task.source)])
       .field("solver", to_string(params.method))
-      .field("block", params.block)
       .field("attempt", attempt)
       .field("iterations", stats.total_iterations)
       .field("worst_residual", stats.worst_residual);

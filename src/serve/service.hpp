@@ -22,8 +22,8 @@
 //
 // Per task the lifecycle is
 //
-//   journal TaskRunning -> solve 12 columns (block solver) -> contract
-//   pion -> journal TaskDone(result payload)
+//   journal TaskRunning -> solve 12 columns (one FullSolver, column by
+//   column) -> contract pion -> journal TaskDone(result payload)
 //
 // so a kill at any instant loses at most the task in flight: on the next
 // run the journal replay marks every TaskDone task finished and the
@@ -44,9 +44,10 @@
 //
 // Failure taxonomy (util/error.hpp): an injected drop or an unconverged
 // solve is a transient failure — journal TaskFailed, retry up to
-// spec.max_retries (block_cg campaigns retry on the scalar eo_cg
-// pipeline, which has full breakdown recovery); an exhausted budget
-// escalates to FatalError and stops the campaign. A scheduled kill from
+// spec.max_retries on the same pipeline (eo_cg already restarts on
+// breakdown), so a retried task's payload differs from a first
+// attempt's only in its `attempt` field; an exhausted budget escalates
+// to FatalError and stops the campaign. A scheduled kill from
 // the FaultInjector rethrows as TransientError("service killed") after
 // the TaskRunning frame, exactly the crash window the journal protects.
 // The modeled faults (kills, drops, lane deaths, straggles) drive

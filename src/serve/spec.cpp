@@ -44,18 +44,15 @@ CampaignSpec parse_campaign(const json::Value& doc) {
   }
 
   if (const json::Value* solver = doc.find("solver")) {
-    spec.solver =
-        parse_solver_kind(solver->get_or("kind", std::string("block_cg")));
+    spec.solver = parse_solver_kind(
+        solver->get_or("kind", std::string(to_string(spec.solver))));
     spec.tol = solver->get_or("tol", spec.tol);
     spec.max_iterations =
         solver->get_or("max_iterations", spec.max_iterations);
-    spec.block = solver->get_or("block", spec.block);
     LQCD_REQUIRE(spec.tol > 0.0 && spec.tol < 1.0,
                  "campaign spec: tol out of (0, 1)");
     LQCD_REQUIRE(spec.max_iterations > 0,
                  "campaign spec: max_iterations must be positive");
-    LQCD_REQUIRE(spec.block >= 1 && spec.block <= kMaxBlockRhs,
-                 "campaign spec: block out of [1, 12]");
   }
 
   if (const json::Value* sched = doc.find("schedule")) {
@@ -113,7 +110,6 @@ void write_campaign(json::Writer& w, const CampaignSpec& spec) {
       .field("kind", to_string(spec.solver))
       .field("tol", spec.tol)
       .field("max_iterations", spec.max_iterations)
-      .field("block", spec.block)
       .end_object();
   w.key("schedule")
       .begin_object()

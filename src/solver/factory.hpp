@@ -10,19 +10,15 @@
 // whatever preconditioning happens inside.
 //
 // Kinds:
-//   eo_cg     CG on the normal even-odd Schur system (the seed default)
+//   eo_cg     CG on the normal even-odd Schur system (the default)
 //   mixed_cg  mixed-precision defect-correction CG on the same system
 //   bicgstab  BiCGStab on the full operator
 //   gcr       restarted GCR on the full operator
 //   sap_gcr   GCR right-preconditioned by SAP              (Wilson only)
 //   mg        GCR right-preconditioned by the MG V-cycle   (Wilson only)
-//   block_cg  multi-RHS fused CG on the Schur system       (Wilson only)
 //
-// Multi-RHS campaigns (one gauge load amortized over K right-hand
-// sides) go through the parallel `BlockSolver` interface built by
-// make_block_solver(): block_cg runs the fused dslash path, every other
-// kind degrades gracefully to column-by-column solves behind the same
-// interface.
+// Multi-column work (the 12 propagator columns, a campaign's tasks)
+// builds one FullSolver and calls solve() once per column.
 //
 // The MG kind pays an adaptive setup at construction and reuses it for
 // every subsequent solve — construct once per gauge configuration.
@@ -33,16 +29,12 @@
 #include <type_traits>
 #include <utility>
 
-#include <vector>
-
-#include "dirac/block.hpp"
 #include "dirac/clover.hpp"
 #include "dirac/eo.hpp"
 #include "dirac/normal.hpp"
 #include "linalg/blas.hpp"
 #include "mg/mg.hpp"
 #include "solver/bicgstab.hpp"
-#include "solver/block_cg.hpp"
 #include "solver/cg.hpp"
 #include "solver/gcr.hpp"
 #include "solver/mixed_cg.hpp"
@@ -50,7 +42,18 @@
 
 namespace lqcd {
 
-enum class SolverKind { EoCg, MixedCg, BiCgStab, Gcr, SapGcr, Mg, BlockCg };
+enum class SolverKind {
+  EoCg,
+  MixedCg,
+  BiCgStab,
+  Gcr,
+  SapGcr,
+  Mg,
+  /// Not a kind: the retired multi-RHS name, kept as a spelling of EoCg
+  /// only because perfbench/ still assigns it. Goes with the next change
+  /// to the benchmark.
+  BlockCg = EoCg,
+};
 
 [[nodiscard]] inline std::string_view to_string(SolverKind k) {
   switch (k) {
@@ -60,7 +63,6 @@ enum class SolverKind { EoCg, MixedCg, BiCgStab, Gcr, SapGcr, Mg, BlockCg };
     case SolverKind::Gcr: return "gcr";
     case SolverKind::SapGcr: return "sap_gcr";
     case SolverKind::Mg: return "mg";
-    case SolverKind::BlockCg: return "block_cg";
   }
   return "?";
 }
@@ -74,10 +76,9 @@ enum class SolverKind { EoCg, MixedCg, BiCgStab, Gcr, SapGcr, Mg, BlockCg };
   if (name == "gcr") return SolverKind::Gcr;
   if (name == "sap_gcr" || name == "sap") return SolverKind::SapGcr;
   if (name == "mg") return SolverKind::Mg;
-  if (name == "block_cg" || name == "block") return SolverKind::BlockCg;
   throw Error(
       "unknown solver '" + std::string(name) +
-      "' (valid: eo_cg, mixed_cg, bicgstab, gcr, sap_gcr, mg, block_cg)");
+      "' (valid: eo_cg, mixed_cg, bicgstab, gcr, sap_gcr, mg)");
 }
 
 struct SolverConfig {
@@ -98,20 +99,6 @@ class FullSolver {
   virtual ~FullSolver() = default;
   virtual SolverResult solve(std::span<WilsonSpinorD> x,
                              std::span<const WilsonSpinorD> b) = 0;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-};
-
-/// A configured multi-RHS pipeline: solve M x[k] = b[k] for up to
-/// max_rhs() full-volume columns per call, one SolverResult per column.
-/// block_cg fuses the operator applies across columns; other kinds solve
-/// column by column behind the same interface, so campaign drivers can
-/// switch kinds without restructuring.
-class BlockSolver {
- public:
-  virtual ~BlockSolver() = default;
-  virtual std::vector<SolverResult> solve(
-      std::span<const SpinorSpanD> x, std::span<const CSpinorSpanD> b) = 0;
-  [[nodiscard]] virtual int max_rhs() const = 0;
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
@@ -242,109 +229,6 @@ class FullKrylovSolver final : public FullSolver {
   std::unique_ptr<Preconditioner<double>> sap_;
 };
 
-/// Fused multi-RHS CG on the even-odd Schur system: the block analogue
-/// of EoCgSolver, with every stage (prepare, dagger, CG, reconstruct)
-/// batched through one link sweep per apply.
-class BlockEoCgSolver final : public BlockSolver {
- public:
-  BlockEoCgSolver(const GaugeFieldD& u, const SolverConfig& cfg, int max_rhs)
-      : shat_(u, cfg.kappa, cfg.bc, max_rhs),
-        params_(cfg.base),
-        hv_(static_cast<std::size_t>(shat_.vector_size())),
-        bhat_(hv_ * static_cast<std::size_t>(max_rhs)),
-        bhat2_(hv_ * static_cast<std::size_t>(max_rhs)),
-        xo_(hv_ * static_cast<std::size_t>(max_rhs)) {}
-
-  std::vector<SolverResult> solve(
-      std::span<const SpinorSpanD> x,
-      std::span<const CSpinorSpanD> b) override {
-    const std::size_t nrhs = b.size();
-    LQCD_REQUIRE(x.size() == nrhs && nrhs >= 1 &&
-                     nrhs <= static_cast<std::size_t>(shat_.max_rhs()),
-                 "block solve column counts");
-    auto bhat = views(bhat_, nrhs);
-    auto bhat2 = views(bhat2_, nrhs);
-    auto xo = views(xo_, nrhs);
-    shat_.prepare_rhs(bhat, b);
-    // Normal equations: Mhat^† Mhat xo = Mhat^† bhat.
-    shat_.apply_dagger(bhat2, cviews(bhat));
-    for (std::size_t k = 0; k < nrhs; ++k) blas::zero(xo[k]);
-    std::vector<SolverResult> res =
-        block_cg_solve<double>(shat_, xo, cviews(bhat2), params_);
-    shat_.reconstruct(x, cviews(xo), b);
-    return res;
-  }
-  [[nodiscard]] int max_rhs() const override { return shat_.max_rhs(); }
-  [[nodiscard]] std::string_view name() const override { return "block_cg"; }
-
- private:
-  std::vector<SpinorSpanD> views(aligned_vector<WilsonSpinorD>& store,
-                                 std::size_t nrhs) const {
-    std::vector<SpinorSpanD> s(nrhs);
-    for (std::size_t k = 0; k < nrhs; ++k)
-      s[k] = SpinorSpanD(store.data() + k * hv_, hv_);
-    return s;
-  }
-  static std::vector<CSpinorSpanD> cviews(const std::vector<SpinorSpanD>& v) {
-    std::vector<CSpinorSpanD> c(v.size());
-    for (std::size_t k = 0; k < v.size(); ++k)
-      c[k] = CSpinorSpanD(v[k].data(), v[k].size());
-    return c;
-  }
-
-  BlockSchurWilsonOperator<double> shat_;
-  SolverParams params_;
-  std::size_t hv_;
-  aligned_vector<WilsonSpinorD> bhat_, bhat2_, xo_;
-};
-
-/// Column-by-column fallback: any FullSolver behind the BlockSolver
-/// interface. No gauge-traffic amortization, but campaign code stays
-/// kind-agnostic (and MG setup reuse across columns still applies).
-class ColumnBlockSolver final : public BlockSolver {
- public:
-  ColumnBlockSolver(std::unique_ptr<FullSolver> inner, int max_rhs)
-      : inner_(std::move(inner)), max_rhs_(max_rhs) {}
-
-  std::vector<SolverResult> solve(
-      std::span<const SpinorSpanD> x,
-      std::span<const CSpinorSpanD> b) override {
-    LQCD_REQUIRE(x.size() == b.size() && !b.empty() &&
-                     b.size() <= static_cast<std::size_t>(max_rhs_),
-                 "block solve column counts");
-    std::vector<SolverResult> res(b.size());
-    for (std::size_t k = 0; k < b.size(); ++k)
-      res[k] = inner_->solve(x[k], b[k]);
-    return res;
-  }
-  [[nodiscard]] int max_rhs() const override { return max_rhs_; }
-  [[nodiscard]] std::string_view name() const override {
-    return inner_->name();
-  }
-
- private:
-  std::unique_ptr<FullSolver> inner_;
-  int max_rhs_;
-};
-
-/// K=1 adapter so `--solver=block_cg` also works in single-RHS drivers.
-class BlockCgFullSolver final : public FullSolver {
- public:
-  BlockCgFullSolver(const GaugeFieldD& u, const SolverConfig& cfg)
-      : impl_(u, cfg, 1) {}
-
-  SolverResult solve(std::span<WilsonSpinorD> x,
-                     std::span<const WilsonSpinorD> b) override {
-    const SpinorSpanD xs[] = {x};
-    const CSpinorSpanD bs[] = {b};
-    return impl_.solve(xs, bs)[0];
-  }
-  [[nodiscard]] std::string_view name() const override { return "block_cg"; }
-
- private:
-  BlockEoCgSolver impl_;
-};
-
 /// MG-preconditioned GCR; the hierarchy is built once in the constructor.
 class MgFullSolver final : public FullSolver {
  public:
@@ -404,27 +288,8 @@ class MgFullSolver final : public FullSolver {
     case SolverKind::Mg:
       LQCD_REQUIRE(!clover, "mg kind supports plain Wilson only");
       return std::make_unique<detail::MgFullSolver>(u, cfg);
-    case SolverKind::BlockCg:
-      LQCD_REQUIRE(!clover, "block_cg kind supports plain Wilson only");
-      return std::make_unique<detail::BlockCgFullSolver>(u, cfg);
   }
   throw Error("unreachable solver kind");
-}
-
-/// Build a multi-RHS solver for up to `max_rhs` columns per call.
-/// block_cg gets the fused dslash pipeline; every other kind wraps its
-/// FullSolver in a column loop, so campaign drivers configure one knob.
-[[nodiscard]] inline std::unique_ptr<BlockSolver> make_block_solver(
-    const GaugeFieldD& u, SolverKind kind, const SolverConfig& cfg,
-    int max_rhs = kMaxBlockRhs) {
-  LQCD_REQUIRE(max_rhs >= 1 && max_rhs <= kMaxBlockRhs,
-               "block width out of [1, 12]");
-  if (kind == SolverKind::BlockCg) {
-    LQCD_REQUIRE(cfg.csw <= 0.0, "block_cg kind supports plain Wilson only");
-    return std::make_unique<detail::BlockEoCgSolver>(u, cfg, max_rhs);
-  }
-  return std::make_unique<detail::ColumnBlockSolver>(make_solver(u, kind, cfg),
-                                                     max_rhs);
 }
 
 }  // namespace lqcd

@@ -1,7 +1,6 @@
 #include "spectro/propagator.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "linalg/blas.hpp"
 #include "spectro/source.hpp"
@@ -19,9 +18,6 @@ PropagatorStats compute_propagator(
     const std::function<void(FermionFieldD&, int, int)>& make_source) {
   PropagatorStats stats;
   WallTimer timer;
-  const LatticeGeometry& geo = u.geometry();
-  const int ncol = Ns * Nc;
-  const int block = std::clamp(params.block, 1, ncol);
 
   // One solver for all 12 columns. Setup-heavy methods (mg) pay their
   // setup here, once, and reuse it per column.
@@ -31,30 +27,18 @@ PropagatorStats compute_propagator(
   cfg.bc = params.bc;
   cfg.base = params.solver;
   cfg.mg = params.mg_params;
-  const std::unique_ptr<BlockSolver> solver =
-      make_block_solver(u, params.method, cfg, block);
+  const std::unique_ptr<FullSolver> solver =
+      make_solver(u, params.method, cfg);
 
-  // Batch the 12 columns into ceil(12 / block) solves.
-  std::vector<std::unique_ptr<FermionFieldD>> b(
-      static_cast<std::size_t>(block));
-  for (auto& f : b) f = std::make_unique<FermionFieldD>(geo);
-  for (int col0 = 0; col0 < ncol; col0 += block) {
-    const int nrhs = std::min(block, ncol - col0);
-    std::vector<SpinorSpanD> xs(static_cast<std::size_t>(nrhs));
-    std::vector<CSpinorSpanD> bs(static_cast<std::size_t>(nrhs));
-    for (int j = 0; j < nrhs; ++j) {
-      const int s0 = (col0 + j) / Nc, c0 = (col0 + j) % Nc;
-      make_source(*b[static_cast<std::size_t>(j)], s0, c0);
+  // Per column: make_source, then solve. Callers that time the pipeline
+  // (perfbench) read the first make_source call as the end of setup.
+  FermionFieldD b(u.geometry());
+  for (int s0 = 0; s0 < Ns; ++s0)
+    for (int c0 = 0; c0 < Nc; ++c0) {
+      make_source(b, s0, c0);
       FermionFieldD& x = out.column(s0, c0);
       blas::zero(x.span());
-      xs[static_cast<std::size_t>(j)] = x.span();
-      auto sp = b[static_cast<std::size_t>(j)]->span();
-      bs[static_cast<std::size_t>(j)] = CSpinorSpanD(sp.data(), sp.size());
-    }
-    const std::vector<SolverResult> results = solver->solve(xs, bs);
-    for (int j = 0; j < nrhs; ++j) {
-      const SolverResult& r = results[static_cast<std::size_t>(j)];
-      const int s0 = (col0 + j) / Nc, c0 = (col0 + j) % Nc;
+      const SolverResult r = solver->solve(x.span(), b.span());
       stats.total_iterations += r.iterations;
       stats.worst_residual =
           std::max(stats.worst_residual, r.relative_residual);
@@ -63,7 +47,6 @@ PropagatorStats compute_propagator(
         log_warn("propagator column (", s0, ",", c0,
                  ") did not converge: rel=", r.relative_residual);
     }
-  }
   stats.seconds = timer.seconds();
   return stats;
 }

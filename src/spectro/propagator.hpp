@@ -5,10 +5,11 @@
 // Column (s0, c0) of the propagator is the fermion field
 // S(x)_{(s,c),(s0,c0)}. Solves go through the shared solver factory
 // (solver/factory.hpp); the default method is the even-odd Schur CG
-// pipeline validated in tests/test_solver.cpp. One solver instance is
-// built per configuration and shared by all 12 columns — for the `mg`
-// method that amortizes the adaptive setup across the whole propagator
-// (watch the `mg.setup.reuses` counter climb to 11).
+// pipeline validated in tests/test_solver.cpp. One FullSolver is built
+// per call and solves the 12 columns one at a time, each right after
+// its source is made — for the `mg` method that amortizes the adaptive
+// setup across the whole propagator (the `mg.setup.reuses` counter
+// climbs by 11; tests/test_mg.cpp asserts it).
 
 #include <array>
 #include <functional>
@@ -57,10 +58,6 @@ struct PropagatorParams {
   /// builds its hierarchy once for all columns.
   SolverKind method = SolverKind::EoCg;
   mg::MgParams mg_params{};
-  /// Columns solved per batch (1..12). With `block_cg` each batch shares
-  /// one gauge sweep per iteration; other kinds loop columns internally,
-  /// so block > 1 is free to request for any method.
-  int block = 1;
 };
 
 struct PropagatorStats {
@@ -71,6 +68,8 @@ struct PropagatorStats {
 };
 
 /// Solve all 12 columns for sources produced by `make_source(b, s0, c0)`.
+/// The solver is built first; then each column, in (s0, c0) order, gets
+/// one make_source call followed by its solve.
 PropagatorStats compute_propagator(
     Propagator& out, const GaugeFieldD& u, const PropagatorParams& params,
     const std::function<void(FermionFieldD&, int, int)>& make_source);

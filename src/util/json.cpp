@@ -1,8 +1,12 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace lqcd::json {
 
@@ -369,7 +373,13 @@ class Parser {
       fail("malformed number");
     }
     v.integer_ = integer;
-    if (integer) v.int_ = std::strtoll(tok.c_str(), nullptr, 10);
+    if (integer) {
+      errno = 0;
+      v.int_ = std::strtoll(tok.c_str(), nullptr, 10);
+      // Past int64: strtoll saturates, so keep only the double, which
+      // as_int rejects.
+      if (errno == ERANGE) v.integer_ = false;
+    }
     return v;
   }
 
@@ -391,7 +401,14 @@ double Value::as_double() const {
 
 std::int64_t Value::as_int() const {
   if (kind_ != Kind::Number) throw Error("json: value is not a number");
-  return integer_ ? int_ : static_cast<std::int64_t>(num_);
+  if (integer_) return int_;
+  // -2^63 and 2^63 are exact doubles; NaN fails every comparison.
+  if (std::trunc(num_) == num_ && num_ >= -0x1p63 && num_ < 0x1p63)
+    return static_cast<std::int64_t>(num_);
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), num_);
+  throw Error("json: number " + std::string(buf, r.ptr) +
+              " is not an integer in int64 range");
 }
 
 const std::string& Value::as_string() const {
@@ -434,6 +451,15 @@ std::int64_t Value::get_or(std::string_view key,
                            std::int64_t fallback) const {
   const Value* v = find(key);
   return v ? v->as_int() : fallback;
+}
+
+int Value::get_or(std::string_view key, int fallback) const {
+  const std::int64_t v = get_or(key, static_cast<std::int64_t>(fallback));
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    throw Error("json: '" + std::string(key) + "' = " + std::to_string(v) +
+                " does not fit an int");
+  return static_cast<int>(v);
 }
 
 std::string Value::get_or(std::string_view key,

@@ -108,7 +108,9 @@ class Value {
   [[nodiscard]] bool is_array() const { return kind_ == Kind::Array; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::Object; }
 
-  /// Typed accessors; throw lqcd::Error on kind mismatch.
+  /// Typed accessors; throw lqcd::Error on kind mismatch. as_int also
+  /// throws, naming the value, unless the number is integral and fits
+  /// int64 (2.9, 1e300 and integer tokens past int64 all throw).
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] std::int64_t as_int() const;
@@ -125,9 +127,8 @@ class Value {
   [[nodiscard]] double get_or(std::string_view key, double fallback) const;
   [[nodiscard]] std::int64_t get_or(std::string_view key,
                                     std::int64_t fallback) const;
-  [[nodiscard]] int get_or(std::string_view key, int fallback) const {
-    return static_cast<int>(get_or(key, static_cast<std::int64_t>(fallback)));
-  }
+  /// as_int narrowed to int: a value outside int's range throws.
+  [[nodiscard]] int get_or(std::string_view key, int fallback) const;
   [[nodiscard]] std::string get_or(std::string_view key,
                                    const std::string& fallback) const;
   [[nodiscard]] bool get_or(std::string_view key, bool fallback) const;

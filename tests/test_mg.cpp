@@ -1,8 +1,9 @@
 // Tests for the adaptive aggregation multigrid subsystem (src/mg/):
 // aggregation geometry, prolongator orthonormality, the Galerkin identity
 // R A P = A_c, bit-reproducibility of the V-cycle across thread counts,
-// MG-GCR convergence against the eo-CG reference, setup amortization and
-// the mg.* telemetry surface, and the solver factory that exposes it all.
+// MG-GCR convergence against the eo-CG reference, setup amortization
+// (across solves and across a propagator's 12 columns) and the mg.*
+// telemetry surface, and the solver factory that exposes it all.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 #include "mg/mg.hpp"
 #include "parallel/thread_pool.hpp"
 #include "solver/factory.hpp"
+#include "spectro/propagator.hpp"
 #include "util/rng.hpp"
 #include "util/telemetry.hpp"
 
@@ -380,6 +382,36 @@ TEST(MgSolver, AmortizesSetupAcrossSolves) {
   telemetry::reset();
 }
 
+// compute_propagator builds one mg solver and its 12 columns share the
+// hierarchy: one setup, then mg.setup.reuses rises by exactly 11.
+TEST(MgSolver, PropagatorBuildsOneHierarchy) {
+  telemetry::set_enabled(true);
+  const std::int64_t vectors0 = telemetry::counter("mg.setup.vectors").value();
+  const std::int64_t reuses0 = telemetry::counter("mg.setup.reuses").value();
+  PropagatorParams params;
+  params.kappa = 0.12;
+  params.solver = {.tol = 1e-8, .max_iterations = 100};
+  params.method = SolverKind::Mg;
+  params.mg_params = test_params();
+  const Coord origin{0, 0, 0, 0};
+  Propagator prop(geo4());
+  const PropagatorStats stats =
+      compute_point_propagator(prop, shared_gauge(), params, origin);
+  EXPECT_TRUE(stats.converged);
+  EXPECT_EQ(telemetry::counter("mg.setup.vectors").value() - vectors0,
+            test_params().nvec);
+  EXPECT_EQ(telemetry::counter("mg.setup.reuses").value() - reuses0, 11);
+
+  const WilsonOperator<double> m(shared_gauge(), params.kappa);
+  FermionFieldD b(geo4());
+  for (int s0 = 0; s0 < Ns; ++s0)
+    for (int c0 = 0; c0 < Nc; ++c0) {
+      make_point_source(b, origin, s0, c0);
+      EXPECT_LT(fine_residual(m, prop.column(s0, c0).span(), b.span()), 1e-7)
+          << "column " << s0 << "," << c0;
+    }
+}
+
 TEST(Factory, ParsesSolverNames) {
   EXPECT_EQ(parse_solver_kind("eo_cg"), SolverKind::EoCg);
   EXPECT_EQ(parse_solver_kind("cg"), SolverKind::EoCg);
@@ -393,6 +425,14 @@ TEST(Factory, ParsesSolverNames) {
        {SolverKind::EoCg, SolverKind::MixedCg, SolverKind::BiCgStab,
         SolverKind::Gcr, SolverKind::SapGcr, SolverKind::Mg})
     EXPECT_EQ(parse_solver_kind(to_string(k)), k);
+}
+
+// The multi-RHS block CG kind is retired: its names are rejected by the
+// parser like any unknown solver, instead of silently mapping elsewhere.
+TEST(Factory, RejectsRetiredBlockCgKind) {
+  EXPECT_THROW((void)parse_solver_kind("block_cg"), Error);
+  EXPECT_THROW((void)parse_solver_kind("block"), Error);
+  EXPECT_THROW((void)parse_solver_kind("block_bicg"), Error);
 }
 
 TEST(Factory, AllKindsSolveTheSameSystem) {

@@ -81,7 +81,6 @@ CampaignSpec small_spec(const std::string& output) {
   spec.kappas = {0.110, 0.115};
   spec.sources = {"point:0,0,0,0", "wall:0"};
   spec.tol = 1e-7;
-  spec.block = 4;
   spec.ranks = 2;
   spec.output = output;
   return spec;
@@ -96,6 +95,16 @@ std::map<int, std::string> done_payloads(const std::string& journal) {
       out[id] = r.payload;
     }
   return out;
+}
+
+/// A TaskDone payload with its `attempt` line cut out: the one field in
+/// which a retried task's payload may differ from a first attempt's.
+std::string without_attempt(std::string payload) {
+  const std::size_t at = payload.find("\"attempt\":");
+  if (at == std::string::npos) return payload;
+  const std::size_t line = payload.rfind('\n', at) + 1;
+  payload.erase(line, payload.find('\n', at) + 1 - line);
+  return payload;
 }
 
 TEST(CampaignSpec, CanonicalRoundTripAndFingerprint) {
@@ -133,6 +142,23 @@ TEST(CampaignSpec, RejectsMalformedDocuments) {
       parse("{" + head + R"(, "configs": ["c"], "kappas": [0.12],
              "sources": ["wall:0"], "schedule": {"machine": "cray"}})"),
       Error);  // unknown machine preset
+  EXPECT_THROW(
+      parse("{" + head + R"(, "configs": ["c"], "kappas": [0.12],
+             "sources": ["wall:0"], "solver": {"kind": "block_cg"}})"),
+      Error);  // the retired multi-RHS kind
+  // Integers are rejected, never wrapped or truncated.
+  const std::string body =
+      "{" + head +
+      R"(, "configs": ["c"], "kappas": [0.12], "sources": ["wall:0"], )";
+  EXPECT_THROW(parse(body + R"("schedule": {"ranks": 4294967297}})"),
+               Error);  // 2^32 + 1 would wrap to 1 lane
+  EXPECT_THROW(
+      parse(body + R"("solver": {"max_iterations": 4294967301}})"),
+      Error);  // would wrap to 5
+  EXPECT_THROW(parse(body + R"("schedule": {"ranks": 2.9}})"),
+               Error);  // would truncate to 2
+  EXPECT_THROW(parse(body + R"("schedule": {"ranks": 1e300}})"),
+               Error);  // no int64 holds it
 }
 
 TEST(CampaignSpec, BuildsConfigMajorTaskList) {
@@ -423,6 +449,32 @@ TEST(CampaignService, TransientFaultsAreRetried) {
   for (const Record& r : replay_journal(service.journal_path()).records)
     failed_frames += r.type == RecordType::TaskFailed;
   EXPECT_EQ(failed_frames, 2);
+}
+
+// A retry reruns the same pipeline: every task's payload equals a clean
+// run's, byte for byte, apart from its `attempt` field.
+TEST(CampaignService, RetriedPayloadsMatchCleanRun) {
+  CampaignService clean(small_spec(scratch("retry_ref")));
+  ASSERT_TRUE(clean.run().finished);
+  FaultInjector faults(13, {.drop_prob = 1.0});
+  faults.set_event_budget(2);  // the TransientFaultsAreRetried schedule
+  CampaignService retried(small_spec(scratch("retry_faulted")),
+                          {.faults = &faults});
+  const CampaignOutcome out = retried.run();
+  ASSERT_TRUE(out.finished);
+  ASSERT_EQ(out.transient_failures, 2);
+
+  const auto want = done_payloads(clean.journal_path());
+  const auto got = done_payloads(retried.journal_path());
+  ASSERT_EQ(got.size(), want.size());
+  int reruns = 0;
+  for (const auto& [id, payload] : want) {
+    ASSERT_EQ(got.count(id), 1u) << "task " << id;
+    reruns += got.at(id) != payload;
+    EXPECT_EQ(without_attempt(got.at(id)), without_attempt(payload))
+        << "task " << id;
+  }
+  EXPECT_GT(reruns, 0);  // some payload records attempt > 0
 }
 
 // The coordinator counts retries itself: perfbench runs its untraced

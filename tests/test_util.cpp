@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -383,6 +385,27 @@ TEST(JsonValue, AccessorsEnforceKinds) {
   EXPECT_THROW((void)v.at("s").as_bool(), Error);
   EXPECT_THROW((void)v.at("s")[0], Error);
   EXPECT_THROW((void)v.at("missing"), Error);
+}
+
+TEST(JsonValue, IntegersConvertOnlyWhenIntegralAndInRange) {
+  const json::Value v = json::Value::parse(
+      R"({"whole": 3.0, "frac": 2.9, "huge": 1e300, "neg_inf": -1e999,
+          "past_i64": 9223372036854775808, "i64_min": -9223372036854775808,
+          "past_int": 4294967297})");
+  EXPECT_EQ(v.at("whole").as_int(), 3);
+  EXPECT_EQ(v.at("i64_min").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  for (const char* key : {"frac", "huge", "neg_inf", "past_i64"})
+    EXPECT_THROW((void)v.at(key).as_int(), Error) << key;
+  EXPECT_EQ(v.get_or("past_int", std::int64_t{0}), 4294967297);
+  EXPECT_THROW((void)v.get_or("past_int", 0), Error);  // int narrowing
+  try {
+    (void)v.at("frac").as_int();
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("2.9"), std::string::npos)
+        << e.what();  // the message names the value
+  }
 }
 
 }  // namespace
