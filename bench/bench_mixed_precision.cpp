@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "dirac/compressed.hpp"
 #include "dirac/eo.hpp"
 #include "dirac/normal.hpp"
 #include "linalg/blas.hpp"
@@ -88,41 +87,6 @@ int main(int argc, char** argv) {
                   (rd.converged && rm.converged) ? "true" : "false");
     if (!json_rows.empty()) json_rows += ",\n";
     json_rows += row;
-  }
-
-  // The third rung of the precision ladder: a 16-bit compressed inner
-  // operator (full-lattice; storage-precision semantics) under the same
-  // double outer loop. The interesting number is the cycle/iteration
-  // overhead half pays relative to float.
-  std::printf("\nprecision ladder at kappa=0.118 (full-lattice operator, "
-              "target 1e-10):\n");
-  std::printf("%8s | %10s %9s %8s\n", "inner", "iters", "time[ms]",
-              "cycles");
-  {
-    const double kappa = 0.118;
-    WilsonOperator<double> wd(u, kappa);
-    WilsonOperator<float> wf(uf, kappa);
-    HalfWilsonOperator wh(uf, kappa);
-    NormalOperator<double> nd2(wd);
-    NormalOperator<float> nf2(wf);
-    NormalOperator<float> nh2(wh);
-    FermionFieldD bb(geo), x(geo);
-    fill_gaussian(bb.span(), 22);
-    MixedCgParams mp;
-    mp.outer.tol = 1e-10;
-    for (const char* name : {"float", "half"}) {
-      blas::zero(x.span());
-      MixedCgParams m2 = mp;
-      if (std::string(name) == "half") m2.inner_reduction = 1e-3;
-      const SolverResult r = mixed_cg_solve(
-          nd2, std::string(name) == "half"
-                   ? static_cast<const LinearOperator<float>&>(nh2)
-                   : static_cast<const LinearOperator<float>&>(nf2),
-          x.span(), bb.span(), m2);
-      std::printf("%8s | %10d %9.2f %8d%s\n", name, r.inner_iterations,
-                  r.seconds * 1e3, r.outer_cycles,
-                  r.converged ? "" : "  [!]");
-    }
   }
 
   if (!json_path.empty()) {

@@ -9,6 +9,7 @@ HaloLattice::HaloLattice(const Coord& local_dims) : l_(local_dims) {
     LQCD_REQUIRE(l_[mu] >= 2, "local extent must be >= 2 for depth-1 halos");
     e_[mu] = l_[mu] + 2;
     interior_vol_ *= l_[mu];
+    stride_[static_cast<std::size_t>(mu)] = ext_vol_;
     ext_vol_ *= e_[mu];
   }
   // Overlap partition: sites >= 1 away from every local face have their

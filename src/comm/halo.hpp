@@ -32,12 +32,13 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "comm/transport/transport.hpp"
-#include "dirac/compressed.hpp"
 #include "gauge/gauge_field.hpp"
 #include "lattice/field.hpp"
+#include "linalg/spinor.hpp"
 #include "util/aligned.hpp"
 #include "util/error.hpp"
 
@@ -65,6 +66,16 @@ class HaloLattice {
                 static_cast<std::int64_t>(e_[1]) *
                     ((x[2] + 1) +
                      static_cast<std::int64_t>(e_[2]) * (x[3] + 1)));
+  }
+
+  /// Extended index one step forward / backward in mu: the layout steps
+  /// one stride per direction, so a HaloLattice is the neighbour table
+  /// the hop kernels (detail::hop_site) take.
+  [[nodiscard]] std::int64_t fwd(std::int64_t xe, int mu) const noexcept {
+    return xe + stride_[static_cast<std::size_t>(mu)];
+  }
+  [[nodiscard]] std::int64_t bwd(std::int64_t xe, int mu) const noexcept {
+    return xe - stride_[static_cast<std::size_t>(mu)];
   }
 
   /// Interior coordinate of the i-th interior site (lexicographic).
@@ -118,6 +129,7 @@ class HaloLattice {
  private:
   Coord l_;
   Coord e_;
+  std::array<std::int64_t, Nd> stride_{};
   std::int64_t interior_vol_;
   std::int64_t ext_vol_;
   std::vector<std::int64_t> interior_all_;
@@ -241,6 +253,34 @@ void unpack_face(std::vector<SiteT, AlignedAllocator<SiteT>>& field,
                 sizeof(SiteT));
   });
 }
+
+namespace detail16 {
+
+inline constexpr float kQScale = 32767.0f;
+
+/// One component to int16 fixed point at scale 1/inv_scale. Scalar
+/// floating-point components only: the clamp and round have no lane-wise
+/// meaning, so a lane-packed Simd type does not compile here.
+template <typename T>
+inline std::int16_t quantize_one(T x, T inv_scale) {
+  static_assert(std::is_floating_point_v<T>,
+                "quantize_one is per-component scalar");
+  T v = x * inv_scale * T(kQScale);
+  // Branchless clamp + round-half-away-from-zero (min/max/copysign all
+  // compile to single instructions; the wire codec quantizes every face
+  // component through here, so this is comm-path hot).
+  v = std::min(std::max(v, -T(kQScale)), T(kQScale));
+  return static_cast<std::int16_t>(v + std::copysign(T(0.5), v));
+}
+
+template <typename T>
+inline T dequantize_one(std::int16_t q, T scale) {
+  static_assert(std::is_floating_point_v<T>,
+                "dequantize_one is per-component scalar");
+  return static_cast<T>(q) * (scale / T(kQScale));
+}
+
+}  // namespace detail16
 
 // --- half-precision face codec -------------------------------------------
 // Wire format per spinor site: one float scale (the site's |component|

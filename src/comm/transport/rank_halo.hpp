@@ -398,57 +398,15 @@ class RankCluster {
 
 namespace detail {
 
-/// One direction of the Wilson hopping term on a haloed rank-local field:
-/// forward (project -1, U(x) hop from x+mu) then backward (project +1,
-/// U†(x-mu) hop from x-mu), accumulated into acc — the single-domain
-/// kernel's arithmetic in its order, so every distributed operator is
-/// bit-identical to its single-domain counterpart.
-template <int Mu, typename T>
-inline void dist_accum_hop(WilsonSpinor<T>& acc, const Coord& x,
-                           const aligned_vector<WilsonSpinor<T>>& psi,
-                           const aligned_vector<LinkSite<T>>& ug,
-                           const HaloLattice& halo) {
-  Coord xp = x;
-  ++xp[Mu];
-  Coord xm = x;
-  --xm[Mu];
-  const std::int64_t xpe = halo.ext_index(xp);
-  const std::int64_t xme = halo.ext_index(xm);
-  const std::int64_t xe0 = halo.ext_index(x);
-  {
-    const HalfSpinor<T> h =
-        project<Mu, -1>(psi[static_cast<std::size_t>(xpe)]);
-    const ColorMatrix<T>& u =
-        ug[static_cast<std::size_t>(xe0)][static_cast<std::size_t>(Mu)];
-    HalfSpinor<T> uh;
-    uh.s[0] = mul(u, h.s[0]);
-    uh.s[1] = mul(u, h.s[1]);
-    accum_reconstruct<Mu, -1>(acc, uh);
-  }
-  {
-    const HalfSpinor<T> h =
-        project<Mu, +1>(psi[static_cast<std::size_t>(xme)]);
-    const ColorMatrix<T>& u =
-        ug[static_cast<std::size_t>(xme)][static_cast<std::size_t>(Mu)];
-    HalfSpinor<T> uh;
-    uh.s[0] = adj_mul(u, h.s[0]);
-    uh.s[1] = adj_mul(u, h.s[1]);
-    accum_reconstruct<Mu, +1>(acc, uh);
-  }
-}
-
-/// Full 8-point hop sum D psi at local coordinate x (kappa not applied).
+/// A rank's haloed links in the hop kernels' u(site, mu) form, indexed
+/// by extended site.
 template <typename T>
-[[nodiscard]] inline WilsonSpinor<T> dist_hop_site(
-    const Coord& x, const aligned_vector<WilsonSpinor<T>>& psi,
-    const aligned_vector<LinkSite<T>>& ug, const HaloLattice& halo) {
-  WilsonSpinor<T> acc{};
-  dist_accum_hop<0>(acc, x, psi, ug, halo);
-  dist_accum_hop<1>(acc, x, psi, ug, halo);
-  dist_accum_hop<2>(acc, x, psi, ug, halo);
-  dist_accum_hop<3>(acc, x, psi, ug, halo);
-  return acc;
-}
+struct HaloLinks {
+  const LinkSite<T>* links;
+  const ColorMatrix<T>& operator()(std::int64_t xe, int mu) const {
+    return links[xe][static_cast<std::size_t>(mu)];
+  }
+};
 
 /// What a hop sweep stores at a target site x, given the raw hop sum
 /// h = (D src)(x) and the auxiliary field's site a = aux[x]. The
@@ -473,13 +431,18 @@ struct HopSweep {
   std::span<const std::int64_t> interior;  ///< targets closed before finish
   std::span<const std::int64_t> surface;   ///< targets that read ghosts
 
-  /// The per-site arithmetic over a run of target sites.
+  /// The per-site arithmetic over a run of target sites: the
+  /// single-domain hop kernel over the haloed fields, so every
+  /// distributed operator is bit-identical to its single-domain
+  /// counterpart.
   void compute(std::span<const std::int64_t> sites) const {
     const HaloLattice& halo = cluster->halo();
+    const HaloLinks<T> u{gauge->data()};
+    const std::span<const WilsonSpinor<T>> in(src->data(), src->size());
     for (const std::int64_t i : sites) {
-      const Coord x = halo.interior_coords(i);
-      const auto xe = static_cast<std::size_t>(halo.ext_index(x));
-      WilsonSpinor<T> h = dist_hop_site(x, *src, *gauge, halo);
+      const std::int64_t x = halo.ext_index(halo.interior_coords(i));
+      const auto xe = static_cast<std::size_t>(x);
+      WilsonSpinor<T> h = hop_site(u, in, halo, x);
       if (store == HopStore::kSub) {
         h *= c;
         WilsonSpinor<T> v = (*aux)[xe];

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
-#include <utility>
 
 namespace lqcd::transport {
 
@@ -20,7 +19,6 @@ constexpr std::uint64_t kShmMagic = 0x314D454D48535154ull;  // "TQSHMEM1"
 constexpr std::size_t kHeaderBytes = 4096;
 /// head | pad | tail | pad, each on its own cacheline.
 constexpr std::size_t kRingCtrlBytes = 128;
-constexpr std::size_t kReadChunk = 1 << 16;
 
 struct ShmHeader {
   std::uint64_t magic;
@@ -114,9 +112,7 @@ void shm_mark_dead(const std::string& path, int rank) {
 }
 
 ShmTransport::ShmTransport(int rank, int size, const std::string& path)
-    : Transport(rank, size),
-      readers_(static_cast<std::size_t>(size)),
-      outbox_(static_cast<std::size_t>(size)) {
+    : StreamTransport(rank, size) {
   const int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) sys_fail("open " + path);
   struct stat st{};
@@ -139,32 +135,16 @@ ShmTransport::ShmTransport(int rank, int size, const std::string& path)
 }
 
 ShmTransport::~ShmTransport() {
-  if (map_ != nullptr) {
-    // Bounded best-effort flush of spilled frames, so a clean exit does
-    // not strand a final message (the deadline keeps teardown finite
-    // when the consumer is already gone or no longer draining).
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(2);
-    while (!rank_dead(rank())) {  // already declared dead: peers drop us
-      bool moved = false;
-      bool pending = false;
-      for (int dst = 0; dst < size(); ++dst) {
-        if (dst == rank()) continue;
-        moved = flush_outbox(dst) || moved;
-        if (!outbox_[static_cast<std::size_t>(dst)].chunks.empty())
-          pending = true;
-      }
-      if (!pending || std::chrono::steady_clock::now() >= deadline) break;
-      if (!moved)
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    // Cover clean exits and the thread harness; the launcher's waitpid
-    // covers crashes.
-    ShmHeader* h = reinterpret_cast<ShmHeader*>(map_);
-    std::atomic_ref<std::uint32_t>(h->dead[rank()])
-        .store(1, std::memory_order_release);
-    ::munmap(map_, map_bytes_);
-  }
+  if (map_ == nullptr) return;
+  // A rank already declared dead is dropped by its peers: nothing of its
+  // to flush.
+  if (!rank_dead(rank())) flush_on_close();
+  // Cover clean exits and the thread harness; the launcher's waitpid
+  // covers crashes.
+  ShmHeader* h = reinterpret_cast<ShmHeader*>(map_);
+  std::atomic_ref<std::uint32_t>(h->dead[rank()])
+      .store(1, std::memory_order_release);
+  ::munmap(map_, map_bytes_);
 }
 
 std::byte* ShmTransport::ring_base(int src, int dst) const {
@@ -185,198 +165,46 @@ bool ShmTransport::peer_alive(int r) const {
   return !rank_dead(r);
 }
 
-std::size_t ShmTransport::ring_write_some(int dst,
-                                          std::span<const std::byte> data) {
+std::size_t ShmTransport::write_some(int dst, std::span<const std::byte> head,
+                                     std::span<const std::byte> tail) {
   std::byte* ring = ring_base(rank(), dst);
-  auto head = head_ref(ring);
-  auto tail = tail_ref(ring);
-  const std::uint64_t t = tail.load(std::memory_order_relaxed);
-  const std::uint64_t hd = head.load(std::memory_order_acquire);
-  const std::size_t free = ring_bytes_ - static_cast<std::size_t>(t - hd);
-  const std::size_t n = std::min(free, data.size());
+  auto tl = tail_ref(ring);
+  const std::uint64_t t = tl.load(std::memory_order_relaxed);
+  const std::uint64_t h = head_ref(ring).load(std::memory_order_acquire);
+  const std::size_t free = ring_bytes_ - static_cast<std::size_t>(t - h);
+  const std::size_t nh = std::min(free, head.size());
+  const std::size_t nt =
+      nh == head.size() ? std::min(free - nh, tail.size()) : 0;
+  if (nh == 0) return 0;
+  ring_copy_in(ring_buf(ring), ring_bytes_, t, head.data(), nh);
+  if (nt != 0)  // an empty tail may have a null data()
+    ring_copy_in(ring_buf(ring), ring_bytes_, t + nh, tail.data(), nt);
+  tl.store(t + nh + nt, std::memory_order_release);
+  return nh + nt;
+}
+
+std::size_t ShmTransport::read_some(int src, std::span<std::byte> buf) {
+  std::byte* ring = ring_base(src, rank());
+  auto hd = head_ref(ring);
+  const std::uint64_t h = hd.load(std::memory_order_relaxed);
+  const std::uint64_t t = tail_ref(ring).load(std::memory_order_acquire);
+  const std::size_t n = std::min(static_cast<std::size_t>(t - h), buf.size());
   if (n == 0) return 0;
-  ring_copy_in(ring_buf(ring), ring_bytes_, t, data.data(), n);
-  tail.store(t + n, std::memory_order_release);
+  ring_copy_out(buf.data(), ring_buf(ring), ring_bytes_, h, n);
+  hd.store(h + n, std::memory_order_release);
   return n;
 }
 
-bool ShmTransport::flush_outbox(int dst) {
-  Outbox& ob = outbox_[static_cast<std::size_t>(dst)];
-  if (ob.chunks.empty()) return false;
-  if (rank_dead(dst)) {  // consumer gone: the bytes die with it
-    ob.chunks.clear();
-    ob.off = 0;
-    return false;
-  }
-  bool moved = false;
-  while (!ob.chunks.empty()) {
-    const std::vector<std::byte>& front = ob.chunks.front();
-    const std::size_t w = ring_write_some(
-        dst, {front.data() + ob.off, front.size() - ob.off});
-    if (w == 0) break;
-    moved = true;
-    ob.off += w;
-    if (ob.off == front.size()) {
-      ob.chunks.pop_front();
-      ob.off = 0;
-    }
-  }
-  return moved;
-}
-
-void ShmTransport::enqueue_frame(int dst, std::uint64_t tag,
-                                 std::uint32_t flags, std::uint32_t crc,
-                                 std::span<const std::byte> payload) {
-  if (rank_dead(dst)) return;
-  FrameHeader h;
-  h.src = static_cast<std::uint32_t>(rank());
-  h.dst = static_cast<std::uint32_t>(dst);
-  h.flags = flags;
-  h.tag = tag;
-  h.payload_len = static_cast<std::uint32_t>(payload.size());
-  h.payload_crc = crc;
-  std::byte hdr[kFrameHeaderBytes];
-  encode_header(hdr, h);
-  wstats_.wire_frames += 1;
-  wstats_.wire_bytes +=
-      static_cast<std::int64_t>(kFrameHeaderBytes + payload.size());
-  // Never block on a full ring: what doesn't fit spills to the outbox
-  // (flushed by pump()), preserving byte order behind earlier spills.
-  flush_outbox(dst);
-  Outbox& ob = outbox_[static_cast<std::size_t>(dst)];
-  const auto put = [&](std::span<const std::byte> s) {
-    if (ob.chunks.empty()) s = s.subspan(ring_write_some(dst, s));
-    if (!s.empty()) ob.chunks.emplace_back(s.begin(), s.end());
-  };
-  put({hdr, kFrameHeaderBytes});
-  put(payload);
-}
-
-bool ShmTransport::pump() {
-  bool moved = false;
-  for (int dst = 0; dst < size(); ++dst)
-    if (dst != rank()) moved = flush_outbox(dst) || moved;
-  std::byte chunk[kReadChunk];
-  for (int src = 0; src < size(); ++src) {
-    if (src == rank()) continue;
-    std::byte* ring = ring_base(src, rank());
-    auto head = head_ref(ring);
-    auto tail = tail_ref(ring);
-    std::uint64_t hd = head.load(std::memory_order_relaxed);
-    for (;;) {
-      const std::uint64_t tl = tail.load(std::memory_order_acquire);
-      const std::size_t avail = static_cast<std::size_t>(tl - hd);
-      if (avail == 0) break;
-      const std::size_t n = std::min(avail, kReadChunk);
-      ring_copy_out(chunk, ring_buf(ring), ring_bytes_, hd, n);
-      hd += n;
-      head.store(hd, std::memory_order_release);
-      readers_[static_cast<std::size_t>(src)].feed({chunk, n});
-      moved = true;
-      if (n < kReadChunk) break;
-    }
-    FrameReader& reader = readers_[static_cast<std::size_t>(src)];
-    FrameHeader h;
-    std::vector<std::byte> payload;
-    while (reader.next(h, payload)) {
-      LQCD_REQUIRE(static_cast<int>(h.dst) == rank(),
-                   "shm transport: misrouted frame");
-      LQCD_REQUIRE(static_cast<int>(h.src) == src,
-                   "shm transport: frame src does not match ring");
-      if (h.flags & kFlagNack) {
-        LQCD_REQUIRE(payload.size() == sizeof(std::uint32_t),
-                     "shm transport: malformed NACK");
-        std::uint32_t attempt;
-        std::memcpy(&attempt, payload.data(), sizeof attempt);
-        service_nack(src, h.tag, attempt);
-        continue;
-      }
-      Inbound f;
-      f.flags = h.flags;
-      f.crc = h.payload_crc;
-      f.maybe_clean = false;
-      f.payload = std::move(payload);
-      inbox_[InboxKey{src, h.tag}].push_back(std::move(f));
-      payload = {};
-    }
-  }
-  return moved;
-}
-
-bool ShmTransport::inbox_pop(int src, std::uint64_t tag, Inbound& out) {
-  const auto it = inbox_.find(InboxKey{src, tag});
-  if (it == inbox_.end() || it->second.empty()) return false;
-  out = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) inbox_.erase(it);
-  return true;
-}
-
-void ShmTransport::raw_send(int dst, std::uint64_t tag, std::uint32_t flags,
-                            std::uint32_t crc, bool tampered,
-                            std::span<const std::byte> wire,
-                            std::span<const std::byte> pristine) {
-  (void)tampered;
-  (void)pristine;
-  enqueue_frame(dst, tag, flags, crc, wire);
-}
-
-Transport::Inbound ShmTransport::raw_fetch(int src, std::uint64_t tag) {
-  using Clock = std::chrono::steady_clock;
-  const auto deadline =
-      recv_timeout_ms_ > 0
-          ? Clock::now() + std::chrono::milliseconds(recv_timeout_ms_)
-          : Clock::time_point::max();
-  Inbound f;
-  int spins = 0;
-  for (;;) {
-    if (inbox_pop(src, tag, f)) return f;
-    const bool moved = pump();
-    if (inbox_pop(src, tag, f)) return f;
-    // Drain-then-fail: the peer is dead and pump() moved nothing, so
-    // every complete frame it left behind has been dispatched. Any
-    // residue still in the reader is a torn frame from a producer
-    // killed mid-write — it can never complete, so fail now rather
-    // than wait for bytes that will never arrive.
-    if (rank_dead(src) && !moved)
-      throw TransientError(
-          "shm transport: rank " + std::to_string(src) +
-          " died before delivering tag " + std::to_string(tag) +
-          (readers_[static_cast<std::size_t>(src)].buffered() != 0
-               ? " (torn frame left in ring)"
-               : ""));
-    if (Clock::now() >= deadline)
-      throw TransientError("shm transport: timed out waiting for rank " +
-                           std::to_string(src));
-    if (moved) {
-      spins = 0;
-    } else if (++spins < 256) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-}
-
-bool ShmTransport::raw_try_fetch(int src, std::uint64_t tag, Inbound& out) {
-  if (inbox_pop(src, tag, out)) return true;
-  pump();
-  return inbox_pop(src, tag, out);
-}
-
-Transport::Inbound ShmTransport::redeliver(int src, std::uint64_t tag,
-                                           int attempt, Inbound prev) {
-  (void)prev;
-  std::uint32_t a = static_cast<std::uint32_t>(attempt);
-  std::byte buf[sizeof a];
-  std::memcpy(buf, &a, sizeof a);
-  enqueue_frame(src, tag, kFlagNack, 0, {buf, sizeof a});
-  return raw_fetch(src, tag);
-}
-
-void ShmTransport::drain_backend() {
-  pump();
-  inbox_.clear();
+void ShmTransport::wait(std::chrono::steady_clock::duration idle) {
+  // Yield while the wait is young, then sleep in 100 us steps so a long
+  // wait leaves the core to others. The yield phase outlasts a round trip
+  // of 64 KiB frames (~100 us on a 3-GHz-class host). The budget is time,
+  // not rounds: a round's cost varies with the rank count and the pump,
+  // and a budget in rounds can run out while a frame is still in flight.
+  if (idle < std::chrono::microseconds(250))
+    std::this_thread::yield();
+  else
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
 }
 
 }  // namespace lqcd::transport

@@ -12,16 +12,17 @@
 //                cacheline-separated head (consumer) / tail (producer)
 //                monotonic u64 counters and a power-of-two byte buffer
 //
-// Frames serialize through the same encode_header()/FrameReader path as
-// the socket backend; a frame larger than the ring streams through in
-// segments. The producer never blocks on the consumer: bytes that do
-// not fit in the ring spill to a per-peer user-space outbox (exactly
-// the socket backend's EAGAIN discipline) that pump() flushes as the
-// consumer frees space — so the ring is flow control, not a bound on
-// message size, and two ranks exchanging oversized faces cannot
-// deadlock on full rings. All cross-process synchronization is
-// std::atomic_ref acquire/release on the counters and relaxed flags —
-// no futexes, no locks.
+// Frames, outboxes, the inbox and the receive protocol are the stream
+// layer's (stream.hpp), shared with the socket backend; this backend
+// moves the bytes. write_some copies what fits into the (rank -> dst)
+// ring, read_some copies what the (src -> rank) ring holds, and wait
+// spins (yield, then 100 us sleeps) — no syscalls on the data path. A
+// frame larger than the ring streams through it in segments; bytes that
+// do not fit spill to the stream layer's outbox, so the ring is flow
+// control, not a bound on message size, and two ranks exchanging
+// oversized faces cannot deadlock on full rings. All cross-process
+// synchronization is std::atomic_ref acquire/release on the counters and
+// the dead flags — no futexes, no locks.
 //
 // Peer death: the launcher (which owns waitpid) sets the dead flag of an
 // exited rank; a ShmTransport destructor sets its own, covering clean
@@ -32,12 +33,9 @@
 // drops its spilled bytes instead of retrying forever.
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "comm/transport/transport.hpp"
+#include "comm/transport/stream.hpp"
 
 namespace lqcd::transport {
 
@@ -55,7 +53,7 @@ void shm_create(const std::string& path, int n, std::uint32_t ring_bytes);
 /// Mark `rank` dead in an existing segment (launcher side, on waitpid).
 void shm_mark_dead(const std::string& path, int rank);
 
-class ShmTransport final : public Transport {
+class ShmTransport final : public StreamTransport {
  public:
   ShmTransport(int rank, int size, const std::string& path);
   ~ShmTransport() override;
@@ -64,63 +62,20 @@ class ShmTransport final : public Transport {
     return TransportKind::kShm;
   }
   [[nodiscard]] bool peer_alive(int r) const override;
-  void set_recv_timeout_ms(int ms) { recv_timeout_ms_ = ms; }
 
  protected:
-  void raw_send(int dst, std::uint64_t tag, std::uint32_t flags,
-                std::uint32_t crc, bool tampered,
-                std::span<const std::byte> wire,
-                std::span<const std::byte> pristine) override;
-  Inbound raw_fetch(int src, std::uint64_t tag) override;
-  bool raw_try_fetch(int src, std::uint64_t tag, Inbound& out) override;
-  Inbound redeliver(int src, std::uint64_t tag, int attempt,
-                    Inbound prev) override;
-  void drain_backend() override;
+  std::size_t write_some(int dst, std::span<const std::byte> head,
+                         std::span<const std::byte> tail) override;
+  std::size_t read_some(int src, std::span<std::byte> buf) override;
+  void wait(std::chrono::steady_clock::duration idle) override;
 
  private:
-  struct InboxKey {
-    int src;
-    std::uint64_t tag;
-    bool operator==(const InboxKey&) const = default;
-  };
-  struct InboxKeyHash {
-    std::size_t operator()(const InboxKey& k) const noexcept {
-      return std::hash<std::uint64_t>()(
-          k.tag ^ (static_cast<std::uint64_t>(k.src) << 40));
-    }
-  };
-
-  /// Spilled outbound bytes a full ring could not take yet; flushed in
-  /// FIFO order by flush_outbox() before any direct ring write, so the
-  /// byte stream the consumer's FrameReader sees stays contiguous.
-  struct Outbox {
-    std::deque<std::vector<std::byte>> chunks;
-    std::size_t off = 0;  ///< partial-write offset into chunks front
-  };
-
   [[nodiscard]] std::byte* ring_base(int src, int dst) const;
   [[nodiscard]] bool rank_dead(int r) const;
-  /// Nonblocking write into ring (rank() -> dst): copies whatever fits
-  /// and returns the byte count (0 when the ring is full).
-  std::size_t ring_write_some(int dst, std::span<const std::byte> data);
-  /// Push spilled bytes for `dst` into its ring as space allows; drops
-  /// them if dst died. Returns true if any bytes moved.
-  bool flush_outbox(int dst);
-  /// Flush outboxes and drain every inbound ring into its FrameReader;
-  /// dispatch complete frames (NACK service / inbox). Returns true if
-  /// anything moved.
-  bool pump();
-  bool inbox_pop(int src, std::uint64_t tag, Inbound& out);
-  void enqueue_frame(int dst, std::uint64_t tag, std::uint32_t flags,
-                     std::uint32_t crc, std::span<const std::byte> payload);
 
   std::byte* map_ = nullptr;
   std::size_t map_bytes_ = 0;
   std::uint32_t ring_bytes_ = 0;
-  std::vector<FrameReader> readers_;  ///< one per inbound ring
-  std::vector<Outbox> outbox_;        ///< one per outbound ring
-  std::unordered_map<InboxKey, std::deque<Inbound>, InboxKeyHash> inbox_;
-  int recv_timeout_ms_ = -1;
 };
 
 }  // namespace lqcd::transport

@@ -6,20 +6,19 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <sstream>
-#include <utility>
 
 namespace lqcd::transport {
 
 namespace {
 
 constexpr std::uint32_t kIdentityMagic = 0x4449514Cu;  // "LQID"
-constexpr std::size_t kReadChunk = 1 << 16;
+constexpr int kWaitMs = 50;
 
 [[noreturn]] void sys_fail(const std::string& what) {
   throw Error("socket transport: " + what + ": " +
@@ -154,7 +153,7 @@ void rendezvous_serve(int listen_fd, int n) {
 SocketTransport::SocketTransport(int rank, int size,
                                  const std::string& rendezvous_host,
                                  int rendezvous_port)
-    : Transport(rank, size), peers_(static_cast<std::size_t>(size)) {
+    : StreamTransport(rank, size), peers_(static_cast<std::size_t>(size)) {
   LQCD_REQUIRE(rendezvous_host == "127.0.0.1" ||
                    rendezvous_host == "localhost",
                "socket transport: loopback rendezvous only");
@@ -210,40 +209,7 @@ SocketTransport::SocketTransport(int rank, int size,
 }
 
 SocketTransport::~SocketTransport() {
-  // Flush sent-but-EAGAIN'd outboxes with a bounded deadline before
-  // closing the fds — otherwise a final frame (e.g. a worker's kResult
-  // queued just before exit while the kernel buffer was full) would be
-  // silently discarded and the peer would see a premature EOF.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  for (;;) {
-    std::vector<pollfd> pfds;
-    std::vector<int> ranks;
-    for (int r = 0; r < size(); ++r) {
-      Peer& p = peers_[static_cast<std::size_t>(r)];
-      if (r == rank() || !p.alive || p.outbox.empty()) continue;
-      pollfd pf{};
-      pf.fd = p.fd;
-      pf.events = POLLOUT;
-      pfds.push_back(pf);
-      ranks.push_back(r);
-    }
-    if (pfds.empty()) break;
-    const auto left_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now())
-            .count();
-    if (left_ms <= 0) break;
-    const int n = ::poll(pfds.data(), pfds.size(),
-                         static_cast<int>(std::min<long long>(left_ms, 100)));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (std::size_t i = 0; i < pfds.size(); ++i)
-      if (pfds[i].revents & (POLLOUT | POLLHUP | POLLERR))
-        flush_peer(peers_[static_cast<std::size_t>(ranks[i])]);
-  }
+  flush_on_close();
   for (Peer& p : peers_)
     if (p.fd >= 0) ::close(p.fd);
 }
@@ -257,181 +223,58 @@ void SocketTransport::mark_dead(Peer& p) {
   if (p.fd >= 0) ::close(p.fd);
   p.fd = -1;
   p.alive = false;
-  p.outbox.clear();
-  p.out_off = 0;
 }
 
-void SocketTransport::enqueue_frame(int dst, std::uint64_t tag,
-                                    std::uint32_t flags, std::uint32_t crc,
-                                    std::span<const std::byte> payload) {
+std::size_t SocketTransport::write_some(int dst,
+                                        std::span<const std::byte> head,
+                                        std::span<const std::byte> tail) {
   Peer& p = peers_[static_cast<std::size_t>(dst)];
-  if (!p.alive) return;  // sends to the departed are dropped, not fatal
-  FrameHeader h;
-  h.src = static_cast<std::uint32_t>(rank());
-  h.dst = static_cast<std::uint32_t>(dst);
-  h.flags = flags;
-  h.tag = tag;
-  h.payload_len = static_cast<std::uint32_t>(payload.size());
-  h.payload_crc = crc;
-  std::vector<std::byte> frame(kFrameHeaderBytes + payload.size());
-  encode_header(frame.data(), h);
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(),
-                payload.size());
-  }
-  wstats_.wire_frames += 1;
-  wstats_.wire_bytes += static_cast<std::int64_t>(frame.size());
-  p.outbox.push_back(std::move(frame));
-  flush_peer(p);
-}
-
-void SocketTransport::flush_peer(Peer& p) {
-  while (!p.outbox.empty()) {
-    const std::vector<std::byte>& front = p.outbox.front();
-    const ssize_t w = ::send(p.fd, front.data() + p.out_off,
-                             front.size() - p.out_off, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      mark_dead(p);
-      return;
-    }
-    p.out_off += static_cast<std::size_t>(w);
-    if (p.out_off == front.size()) {
-      p.outbox.pop_front();
-      p.out_off = 0;
-    }
+  if (!p.alive) return 0;
+  iovec iov[2] = {
+      {const_cast<std::byte*>(head.data()), head.size()},
+      {const_cast<std::byte*>(tail.data()), tail.size()},
+  };
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = tail.empty() ? 1 : 2;
+  for (;;) {
+    const ssize_t w = ::sendmsg(p.fd, &msg, MSG_NOSIGNAL);
+    if (w >= 0) return static_cast<std::size_t>(w);
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) mark_dead(p);
+    return 0;
   }
 }
 
-void SocketTransport::pump(int timeout_ms) {
-  std::vector<pollfd> pfds;
-  std::vector<int> ranks;
+std::size_t SocketTransport::read_some(int src, std::span<std::byte> buf) {
+  Peer& p = peers_[static_cast<std::size_t>(src)];
+  if (!p.alive) return 0;
+  for (;;) {
+    const ssize_t r = ::recv(p.fd, buf.data(), buf.size(), 0);
+    if (r > 0) return static_cast<std::size_t>(r);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return 0;
+    // EOF or hard error: the peer is gone.
+    mark_dead(p);
+    return 0;
+  }
+}
+
+void SocketTransport::wait(std::chrono::steady_clock::duration idle) {
+  (void)idle;  // poll() blocks until a stream moves: no backoff needed
+  pfds_.clear();
   for (int r = 0; r < size(); ++r) {
-    Peer& p = peers_[static_cast<std::size_t>(r)];
+    const Peer& p = peers_[static_cast<std::size_t>(r)];
     if (r == rank() || !p.alive) continue;
     pollfd pf{};
     pf.fd = p.fd;
     pf.events = POLLIN;
-    if (!p.outbox.empty()) pf.events |= POLLOUT;
-    pfds.push_back(pf);
-    ranks.push_back(r);
+    if (outbox_pending(r)) pf.events |= POLLOUT;
+    pfds_.push_back(pf);
   }
-  if (pfds.empty()) return;
-  const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-  if (n < 0) {
-    if (errno == EINTR) return;
+  if (pfds_.empty()) return;
+  if (::poll(pfds_.data(), pfds_.size(), kWaitMs) < 0 && errno != EINTR)
     sys_fail("poll");
-  }
-  std::vector<std::byte> chunk(kReadChunk);
-  for (std::size_t i = 0; i < pfds.size(); ++i) {
-    Peer& p = peers_[static_cast<std::size_t>(ranks[i])];
-    if (!p.alive) continue;
-    if (pfds[i].revents & POLLOUT) flush_peer(p);
-    if (!p.alive) continue;
-    if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    for (;;) {
-      const ssize_t r = ::recv(p.fd, chunk.data(), chunk.size(), 0);
-      if (r > 0) {
-        p.reader.feed({chunk.data(), static_cast<std::size_t>(r)});
-        if (r < static_cast<ssize_t>(chunk.size())) break;
-        continue;
-      }
-      if (r < 0 && errno == EINTR) continue;
-      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // EOF or hard error: the peer is gone. A nonzero reader residue
-      // is a torn frame — bytes died with the sender.
-      mark_dead(p);
-      break;
-    }
-    FrameHeader h;
-    std::vector<std::byte> payload;
-    while (p.reader.next(h, payload)) {
-      LQCD_REQUIRE(static_cast<int>(h.dst) == rank(),
-                   "socket transport: misrouted frame");
-      LQCD_REQUIRE(static_cast<int>(h.src) == ranks[i],
-                   "socket transport: frame src does not match connection");
-      if (h.flags & kFlagNack) {
-        LQCD_REQUIRE(payload.size() == sizeof(std::uint32_t),
-                     "socket transport: malformed NACK");
-        std::uint32_t attempt;
-        std::memcpy(&attempt, payload.data(), sizeof attempt);
-        service_nack(static_cast<int>(h.src), h.tag, attempt);
-        continue;
-      }
-      Inbound f;
-      f.flags = h.flags;
-      f.crc = h.payload_crc;
-      f.maybe_clean = false;  // a real wire always verifies
-      f.payload = std::move(payload);
-      inbox_[InboxKey{static_cast<int>(h.src), h.tag}].push_back(
-          std::move(f));
-      payload = {};
-    }
-  }
-}
-
-bool SocketTransport::inbox_pop(int src, std::uint64_t tag, Inbound& out) {
-  const auto it = inbox_.find(InboxKey{src, tag});
-  if (it == inbox_.end() || it->second.empty()) return false;
-  out = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) inbox_.erase(it);
-  return true;
-}
-
-void SocketTransport::raw_send(int dst, std::uint64_t tag,
-                               std::uint32_t flags, std::uint32_t crc,
-                               bool tampered,
-                               std::span<const std::byte> wire,
-                               std::span<const std::byte> pristine) {
-  (void)tampered;
-  (void)pristine;  // NACK service re-reads the base-class cache
-  enqueue_frame(dst, tag, flags, crc, wire);
-}
-
-Transport::Inbound SocketTransport::raw_fetch(int src, std::uint64_t tag) {
-  using Clock = std::chrono::steady_clock;
-  const auto deadline =
-      recv_timeout_ms_ > 0
-          ? Clock::now() + std::chrono::milliseconds(recv_timeout_ms_)
-          : Clock::time_point::max();
-  Inbound f;
-  for (;;) {
-    if (inbox_pop(src, tag, f)) return f;
-    if (!peers_[static_cast<std::size_t>(src)].alive)
-      throw TransientError("socket transport: rank " + std::to_string(src) +
-                           " died before delivering tag " +
-                           std::to_string(tag));
-    if (Clock::now() >= deadline)
-      throw TransientError("socket transport: timed out waiting for rank " +
-                           std::to_string(src));
-    pump(50);
-  }
-}
-
-bool SocketTransport::raw_try_fetch(int src, std::uint64_t tag,
-                                    Inbound& out) {
-  if (inbox_pop(src, tag, out)) return true;
-  pump(0);
-  return inbox_pop(src, tag, out);
-}
-
-Transport::Inbound SocketTransport::redeliver(int src, std::uint64_t tag,
-                                              int attempt, Inbound prev) {
-  (void)prev;
-  // Receiver-driven retransmit: NACK the sender, who re-rolls the fault
-  // schedule over its pristine copy and re-sends.
-  std::uint32_t a = static_cast<std::uint32_t>(attempt);
-  std::byte buf[sizeof a];
-  std::memcpy(buf, &a, sizeof a);
-  enqueue_frame(src, tag, kFlagNack, 0, {buf, sizeof a});
-  return raw_fetch(src, tag);
-}
-
-void SocketTransport::drain_backend() {
-  pump(0);
-  inbox_.clear();
 }
 
 }  // namespace lqcd::transport

@@ -7,29 +7,29 @@
 // full mesh of TCP_NODELAY connections with an 8-byte identity preamble
 // mapping each accepted fd to its rank.
 //
-// I/O is nonblocking throughout: raw_send() serializes the frame and
-// queues it on a per-peer outbox that drains opportunistically, so
-// exchange_begin() returns while the kernel moves bytes — the overlap
-// window is real, not modeled. raw_fetch() runs a poll() pump that
-// simultaneously drains readable peers into the tag-keyed inbox,
-// flushes pending outboxes, and services inbound NACK frames from the
-// pristine cache (the receiver-driven retransmit protocol of the base
-// class, now over a real wire).
+// Frames, outboxes, the inbox and the receive protocol are the stream
+// layer's (stream.hpp); this backend moves the bytes. write_some is one
+// nonblocking gathered sendmsg() per frame — what the kernel does not
+// take spills to the stream layer's outbox, so exchange_begin() returns
+// while the kernel moves bytes and the overlap window is real, not
+// modeled. read_some is a nonblocking recv() per live peer, and wait is a
+// bounded poll() over every live fd (POLLOUT too while an outbox holds
+// spilled bytes).
 //
 // Peer death is an EOF (or ECONNRESET): the rank is marked dead, and a
 // receive from it — once nothing matching is buffered — raises
 // TransientError, which is exactly what the PR-1 retry and PR-7
-// lane-recovery paths key on. A configurable receive timeout converts a
-// silent hang (peer alive but wedged) into the same TransientError so
-// campaigns degrade instead of deadlocking.
+// lane-recovery paths key on. The receive timeout converts a silent hang
+// (peer alive but wedged) into the same TransientError so campaigns
+// degrade instead of deadlocking.
+
+#include <poll.h>
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "comm/transport/transport.hpp"
+#include "comm/transport/stream.hpp"
 
 namespace lqcd::transport {
 
@@ -43,7 +43,7 @@ int listen_loopback(int& port_out);
 /// the in-test harness.
 void rendezvous_serve(int listen_fd, int n);
 
-class SocketTransport final : public Transport {
+class SocketTransport final : public StreamTransport {
  public:
   /// Register with the rendezvous server and build the full mesh.
   SocketTransport(int rank, int size, const std::string& rendezvous_host,
@@ -54,54 +54,23 @@ class SocketTransport final : public Transport {
     return TransportKind::kSocket;
   }
   [[nodiscard]] bool peer_alive(int r) const override;
-  /// A blocking receive that exceeds this budget raises TransientError
-  /// (<= 0: wait forever). Launched processes set it from
-  /// LQCD_RECV_TIMEOUT_MS.
-  void set_recv_timeout_ms(int ms) { recv_timeout_ms_ = ms; }
 
  protected:
-  void raw_send(int dst, std::uint64_t tag, std::uint32_t flags,
-                std::uint32_t crc, bool tampered,
-                std::span<const std::byte> wire,
-                std::span<const std::byte> pristine) override;
-  Inbound raw_fetch(int src, std::uint64_t tag) override;
-  bool raw_try_fetch(int src, std::uint64_t tag, Inbound& out) override;
-  Inbound redeliver(int src, std::uint64_t tag, int attempt,
-                    Inbound prev) override;
-  void drain_backend() override;
+  std::size_t write_some(int dst, std::span<const std::byte> head,
+                         std::span<const std::byte> tail) override;
+  std::size_t read_some(int src, std::span<std::byte> buf) override;
+  void wait(std::chrono::steady_clock::duration idle) override;
 
  private:
   struct Peer {
     int fd = -1;
     bool alive = false;
-    FrameReader reader;
-    std::deque<std::vector<std::byte>> outbox;
-    std::size_t out_off = 0;  ///< partial-write offset into outbox front
-  };
-  struct InboxKey {
-    int src;
-    std::uint64_t tag;
-    bool operator==(const InboxKey&) const = default;
-  };
-  struct InboxKeyHash {
-    std::size_t operator()(const InboxKey& k) const noexcept {
-      return std::hash<std::uint64_t>()(
-          k.tag ^ (static_cast<std::uint64_t>(k.src) << 40));
-    }
   };
 
-  void enqueue_frame(int dst, std::uint64_t tag, std::uint32_t flags,
-                     std::uint32_t crc, std::span<const std::byte> payload);
-  void flush_peer(Peer& p);
   void mark_dead(Peer& p);
-  /// One pump round: poll every live fd, drain reads into the inbox,
-  /// service NACKs, flush writable outboxes.
-  void pump(int timeout_ms);
-  bool inbox_pop(int src, std::uint64_t tag, Inbound& out);
 
   std::vector<Peer> peers_;
-  std::unordered_map<InboxKey, std::deque<Inbound>, InboxKeyHash> inbox_;
-  int recv_timeout_ms_ = -1;
+  std::vector<pollfd> pfds_;  ///< wait()'s poll set, reused
 };
 
 }  // namespace lqcd::transport

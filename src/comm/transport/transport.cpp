@@ -300,6 +300,7 @@ std::unique_ptr<Transport> make_transport_from_env() {
                "LQCD_TRANSPORT set but LQCD_RANK/LQCD_SIZE missing");
   const int rank = std::atoi(rank_s);
   const int size = std::atoi(size_s);
+  std::unique_ptr<StreamTransport> tp;
   switch (parse_transport_kind(kind)) {
     case TransportKind::kInProcess:
       throw Error(
@@ -310,23 +311,20 @@ std::unique_ptr<Transport> make_transport_from_env() {
       const char* port = std::getenv("LQCD_REND_PORT");
       LQCD_REQUIRE(host != nullptr && port != nullptr,
                    "socket transport needs LQCD_REND_HOST/LQCD_REND_PORT");
-      auto tp =
-          std::make_unique<SocketTransport>(rank, size, host,
-                                            std::atoi(port));
-      if (const char* t = std::getenv("LQCD_RECV_TIMEOUT_MS"))
-        tp->set_recv_timeout_ms(std::atoi(t));
-      return tp;
+      tp = std::make_unique<SocketTransport>(rank, size, host,
+                                             std::atoi(port));
+      break;
     }
     case TransportKind::kShm: {
       const char* path = std::getenv("LQCD_SHM_PATH");
       LQCD_REQUIRE(path != nullptr, "shm transport needs LQCD_SHM_PATH");
-      auto tp = std::make_unique<ShmTransport>(rank, size, path);
-      if (const char* t = std::getenv("LQCD_RECV_TIMEOUT_MS"))
-        tp->set_recv_timeout_ms(std::atoi(t));
-      return tp;
+      tp = std::make_unique<ShmTransport>(rank, size, path);
+      break;
     }
   }
-  return nullptr;
+  if (const char* t = std::getenv("LQCD_RECV_TIMEOUT_MS"))
+    tp->set_recv_timeout_ms(std::atoi(t));
+  return tp;
 }
 
 }  // namespace lqcd::transport

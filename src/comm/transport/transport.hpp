@@ -14,6 +14,12 @@
 //   ShmTransport        N same-host processes over lock-free shared-
 //                       memory rings — the low-latency intra-node path.
 //
+// The two wire backends share one framed byte-stream layer,
+// StreamTransport (stream.hpp): frame serialization, outboxes, frame
+// dispatch, the (src, tag) inbox, the receive loop with its timeout and
+// dead-peer rule, and the close flush. They keep only how their bytes
+// move.
+//
 // The PR-1 reliability protocol lives HERE, once, in the base class:
 // send() CRC-frames the pristine payload and rolls the deterministic
 // fault injector (drops become header-only marker frames, corruption

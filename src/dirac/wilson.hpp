@@ -50,35 +50,51 @@ GaugeField<T> make_fermion_links(const GaugeField<T>& u, TimeBoundary bc) {
 
 namespace detail {
 
+// The half hops are forced inline: every Wilson kernel (single-domain,
+// lane-packed, SPMD rank, SAP) calls them, and with several callers GCC
+// would otherwise emit them out of line, spilling the accumulator to
+// memory on every hop.
+
+/// Forward half hop: acc += (1 - gamma_mu) U psi, with U = U_mu(x) and
+/// psi = psi(x+mu).
+template <int Mu, typename T>
+[[gnu::always_inline]] inline void hop_fwd(WilsonSpinor<T>& acc,
+                                           const ColorMatrix<T>& u,
+                                           const WilsonSpinor<T>& psi) {
+  const HalfSpinor<T> h = project<Mu, -1>(psi);
+  HalfSpinor<T> uh;
+  uh.s[0] = mul(u, h.s[0]);
+  uh.s[1] = mul(u, h.s[1]);
+  accum_reconstruct<Mu, -1>(acc, uh);
+}
+
+/// Backward half hop: acc += (1 + gamma_mu) U^† psi, with U = U_mu(x-mu)
+/// and psi = psi(x-mu).
+template <int Mu, typename T>
+[[gnu::always_inline]] inline void hop_bwd(WilsonSpinor<T>& acc,
+                                           const ColorMatrix<T>& u,
+                                           const WilsonSpinor<T>& psi) {
+  const HalfSpinor<T> h = project<Mu, +1>(psi);
+  HalfSpinor<T> uh;
+  uh.s[0] = adj_mul(u, h.s[0]);
+  uh.s[1] = adj_mul(u, h.s[1]);
+  accum_reconstruct<Mu, +1>(acc, uh);
+}
+
 /// Accumulate the mu-direction forward+backward hopping contribution.
 /// Generic over the gauge container and neighbor-table provider so the
 /// same kernel instantiates over (GaugeField<T>, LatticeGeometry) for the
-/// scalar path and (VectorGaugeField<T, W>, VectorLattice) for the
-/// lane-packed path — u(site, mu) and geo.fwd/bwd are the only contracts.
+/// scalar path, (VectorGaugeField<T, W>, VectorLattice) for the
+/// lane-packed path and a rank's haloed links over its HaloLattice for
+/// the SPMD path — u(site, mu) and geo.fwd/bwd are the only contracts.
 template <int Mu, typename T, typename GaugeT, typename GeoT>
 inline void accum_hop(WilsonSpinor<T>& acc, const GaugeT& u,
                       std::span<const WilsonSpinor<T>> in,
                       const GeoT& geo, std::int64_t cb) {
-  // Forward: (1 - gamma_mu) U_mu(x) psi(x+mu)
-  {
-    const std::int64_t xp = geo.fwd(cb, Mu);
-    const HalfSpinor<T> h =
-        project<Mu, -1>(in[static_cast<std::size_t>(xp)]);
-    HalfSpinor<T> uh;
-    uh.s[0] = mul(u(cb, Mu), h.s[0]);
-    uh.s[1] = mul(u(cb, Mu), h.s[1]);
-    accum_reconstruct<Mu, -1>(acc, uh);
-  }
-  // Backward: (1 + gamma_mu) U_mu^†(x-mu) psi(x-mu)
-  {
-    const std::int64_t xm = geo.bwd(cb, Mu);
-    const HalfSpinor<T> h =
-        project<Mu, +1>(in[static_cast<std::size_t>(xm)]);
-    HalfSpinor<T> uh;
-    uh.s[0] = adj_mul(u(xm, Mu), h.s[0]);
-    uh.s[1] = adj_mul(u(xm, Mu), h.s[1]);
-    accum_reconstruct<Mu, +1>(acc, uh);
-  }
+  const std::int64_t xp = geo.fwd(cb, Mu);
+  hop_fwd<Mu>(acc, u(cb, Mu), in[static_cast<std::size_t>(xp)]);
+  const std::int64_t xm = geo.bwd(cb, Mu);
+  hop_bwd<Mu>(acc, u(xm, Mu), in[static_cast<std::size_t>(xm)]);
 }
 
 /// Full hopping sum at one site.

@@ -228,42 +228,18 @@ class SapPreconditioner final : public Preconditioner<T> {
     }
   }
 
-  /// acc += (1 - gamma_mu) U_mu(s) psi, psi the forward neighbour's value.
-  template <int Mu>
-  void hop_fwd(WilsonSpinor<T>& acc, std::int64_t s,
-               const WilsonSpinor<T>& psi) const {
-    const GaugeField<T>& u = m_->fermion_links();
-    const HalfSpinor<T> h = project<Mu, -1>(psi);
-    HalfSpinor<T> uh;
-    uh.s[0] = mul(u(s, Mu), h.s[0]);
-    uh.s[1] = mul(u(s, Mu), h.s[1]);
-    accum_reconstruct<Mu, -1>(acc, uh);
-  }
-
-  /// acc += (1 + gamma_mu) U_mu^†(s - mu) psi, psi the backward
-  /// neighbour's value.
-  template <int Mu>
-  void hop_bwd(WilsonSpinor<T>& acc, std::int64_t s,
-               const WilsonSpinor<T>& psi) const {
-    const GaugeField<T>& u = m_->fermion_links();
-    const std::int64_t sm = m_->geometry().bwd(s, Mu);
-    const HalfSpinor<T> h = project<Mu, +1>(psi);
-    HalfSpinor<T> uh;
-    uh.s[0] = adj_mul(u(sm, Mu), h.s[0]);
-    uh.s[1] = adj_mul(u(sm, Mu), h.s[1]);
-    accum_reconstruct<Mu, +1>(acc, uh);
-  }
-
   /// Masked block hopping: local spans, Dirichlet outside the block.
   template <int Mu>
   void accum_hop_block(WilsonSpinor<T>& acc, const Block& blk,
                        std::span<const WilsonSpinor<T>> in,
                        std::size_t i) const {
+    const GaugeField<T>& u = m_->fermion_links();
     const std::int64_t s = blk.sites[i];
     if (const std::int32_t fl = blk.fwd[Mu][i]; fl >= 0)
-      hop_fwd<Mu>(acc, s, in[static_cast<std::size_t>(fl)]);
+      detail::hop_fwd<Mu>(acc, u(s, Mu), in[static_cast<std::size_t>(fl)]);
     if (const std::int32_t bl = blk.bwd[Mu][i]; bl >= 0)
-      hop_bwd<Mu>(acc, s, in[static_cast<std::size_t>(bl)]);
+      detail::hop_bwd<Mu>(acc, u(m_->geometry().bwd(s, Mu), Mu),
+                          in[static_cast<std::size_t>(bl)]);
   }
 
   /// out_local = M_block in_local = in - kappa * masked_hop(in).
@@ -356,12 +332,16 @@ class SapPreconditioner final : public Preconditioner<T> {
   void accum_crossing(WilsonSpinor<T>& acc, const BoundarySite& b,
                       std::span<const WilsonSpinor<T>> delta) const {
     const LatticeGeometry& geo = m_->geometry();
-    if (b.hops & (1u << (2 * Mu)))
-      hop_fwd<Mu>(acc, b.site,
-                  delta[static_cast<std::size_t>(geo.fwd(b.site, Mu))]);
-    if (b.hops & (1u << (2 * Mu + 1)))
-      hop_bwd<Mu>(acc, b.site,
-                  delta[static_cast<std::size_t>(geo.bwd(b.site, Mu))]);
+    const GaugeField<T>& u = m_->fermion_links();
+    if (b.hops & (1u << (2 * Mu))) {
+      const std::int64_t sp = geo.fwd(b.site, Mu);
+      detail::hop_fwd<Mu>(acc, u(b.site, Mu),
+                          delta[static_cast<std::size_t>(sp)]);
+    }
+    if (b.hops & (1u << (2 * Mu + 1))) {
+      const std::int64_t sm = geo.bwd(b.site, Mu);
+      detail::hop_bwd<Mu>(acc, u(sm, Mu), delta[static_cast<std::size_t>(sm)]);
+    }
   }
 
   const WilsonOperator<T>* m_;

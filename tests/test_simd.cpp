@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "dirac/compressed.hpp"
 #include "dirac/eo.hpp"
 #include "dirac/simd_wilson.hpp"
 #include "dirac/wilson.hpp"
@@ -410,47 +409,6 @@ TEST(SimdBlas, ReductionsBitwiseFloatW8) {
 }
 TEST(SimdBlas, ReductionsBitwiseDoubleW8) {
   check_reductions<double, 8>({8, 4, 4, 6});
-}
-
-// --- lane-aware 16-bit quantization ----------------------------------------
-
-TEST(SimdCompressed, QuantizeSpinorPerLane) {
-  constexpr int W = 4;
-  WilsonSpinor<float> sites[W];
-  for (int l = 0; l < W; ++l) {
-    aligned_vector<WilsonSpinor<float>> tmp(1);
-    fill_random(span(tmp), 50 + static_cast<std::uint64_t>(l));
-    sites[l] = tmp[0];
-    // Very different magnitudes per lane: a shared amax would visibly
-    // mis-scale the small lanes.
-    sites[l] *= static_cast<float>(std::pow(10.0, l - 2));
-  }
-  WilsonSpinor<Simd<float, W>> packed;
-  for (int l = 0; l < W; ++l) insert_lane(packed, l, sites[l]);
-  const WilsonSpinor<Simd<float, W>> q = quantize_spinor(packed);
-  for (int l = 0; l < W; ++l) {
-    const WilsonSpinor<float> want = quantize_spinor(sites[l]);
-    const WilsonSpinor<float> got = extract_lane(q, l);
-    for (int s = 0; s < Ns; ++s)
-      for (int c = 0; c < Nc; ++c)
-        EXPECT_EQ(got.s[s].c[c], want.s[s].c[c]);
-  }
-}
-
-TEST(SimdCompressed, QuantizeLinkPerLane) {
-  constexpr int W = 4;
-  const LatticeGeometry geo({4, 4, 4, 4});
-  GaugeField<float> u(geo);
-  u.set_random(SiteRngFactory(61));
-  ColorMatrix<Simd<float, W>> packed;
-  for (int l = 0; l < W; ++l) insert_lane(packed, l, u(l, 0));
-  const ColorMatrix<Simd<float, W>> q = quantize_link(packed);
-  for (int l = 0; l < W; ++l) {
-    const ColorMatrix<float> want = quantize_link(u(l, 0));
-    const ColorMatrix<float> got = extract_lane(q, l);
-    for (int r = 0; r < Nc; ++r)
-      for (int c = 0; c < Nc; ++c) EXPECT_EQ(got.m[r][c], want.m[r][c]);
-  }
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "comm/transport/rank_halo.hpp"
 #include "comm/transport/shm.hpp"
 #include "comm/transport/socket.hpp"
+#include "comm/transport/stream.hpp"
 #include "comm/transport/transport.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/crc32.hpp"
@@ -210,6 +211,16 @@ MakeTransport inprocess_world(int n) {
   };
 }
 
+/// A positive `recv_timeout_ms` applies to `timeout_rank` only, so the
+/// rank under test times out while its peers wait indefinitely.
+std::unique_ptr<tr::Transport> with_timeout(
+    std::unique_ptr<tr::StreamTransport> tp, int recv_timeout_ms,
+    int timeout_rank) {
+  if (recv_timeout_ms > 0 && tp->rank() == timeout_rank)
+    tp->set_recv_timeout_ms(recv_timeout_ms);
+  return tp;
+}
+
 /// Real loopback TCP world: the test process runs the same rendezvous
 /// lqcd_launch serves, and each rank thread builds its mesh endpoint.
 class SocketWorld {
@@ -222,18 +233,14 @@ class SocketWorld {
     serve_.join();
     close(fd_);
   }
-  /// A positive `recv_timeout_ms` applies to `timeout_rank` only, so the
-  /// rank under test times out while its peers wait indefinitely.
   [[nodiscard]] MakeTransport make(int recv_timeout_ms = -1,
                                    int timeout_rank = 0) const {
     const int port = port_;
     const int n = n_;
     return [port, n, recv_timeout_ms, timeout_rank](int r) {
-      auto tp = std::make_unique<tr::SocketTransport>(r, n, "127.0.0.1",
-                                                      port);
-      if (recv_timeout_ms > 0 && r == timeout_rank)
-        tp->set_recv_timeout_ms(recv_timeout_ms);
-      return tp;
+      return with_timeout(
+          std::make_unique<tr::SocketTransport>(r, n, "127.0.0.1", port),
+          recv_timeout_ms, timeout_rank);
     };
   }
 
@@ -256,11 +263,13 @@ class ShmWorld {
   }
   ~ShmWorld() { unlink(path_.c_str()); }
   [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] MakeTransport make() const {
+  [[nodiscard]] MakeTransport make(int recv_timeout_ms = -1,
+                                   int timeout_rank = 0) const {
     const std::string path = path_;
     const int n = n_;
-    return [path, n](int r) {
-      return std::make_unique<tr::ShmTransport>(r, n, path);
+    return [path, n, recv_timeout_ms, timeout_rank](int r) {
+      return with_timeout(std::make_unique<tr::ShmTransport>(r, n, path),
+                          recv_timeout_ms, timeout_rank);
     };
   }
 
@@ -805,14 +814,16 @@ TEST(TransportErrors, SocketPeerDeathMidFinishIsTransient) {
   EXPECT_TRUE(transient);
 }
 
-TEST(TransportErrors, ShmPeerDeathDrainsThenFails) {
-  ShmWorld w(2);
-  const MakeTransport make = w.make();
+/// A parting message is delivered before the sender's death surfaces:
+/// the receiver drains what the departed peer left in its stream, then
+/// raises TransientError.
+void parting_message_drill(const MakeTransport& make) {
   std::vector<std::byte> got;
   bool transient = false;
   run_spmd(2, make, [&](int r, tr::Transport& tp) {
     if (r == 1) {
-      // Deliver one message, then die (destructor sets the dead flag).
+      // Deliver one message, then die (the endpoint destructs: EOF on
+      // socket, the dead flag on shm).
       tp.send(0, ctrl_tag(0), make_payload(200, 3));
       return;
     }
@@ -828,6 +839,16 @@ TEST(TransportErrors, ShmPeerDeathDrainsThenFails) {
   });
   EXPECT_EQ(got, make_payload(200, 3));
   EXPECT_TRUE(transient);
+}
+
+TEST(TransportErrors, ShmPeerDeathDrainsThenFails) {
+  ShmWorld w(2);
+  parting_message_drill(w.make());
+}
+
+TEST(TransportErrors, SocketPeerDeathDrainsThenFails) {
+  SocketWorld w(2);
+  parting_message_drill(w.make());
 }
 
 /// The launcher-side dead flag (what lqcd_launch sets on waitpid) is
@@ -849,13 +870,12 @@ TEST(TransportErrors, ShmLauncherDeadFlagRaisesTransient) {
   EXPECT_TRUE(transient);
 }
 
-TEST(TransportErrors, SocketRecvTimeoutIsTransient) {
-  SocketWorld w(2);
-  const MakeTransport make = w.make(/*recv_timeout_ms=*/100);
+/// A peer alive but silent past the receive timeout raises TransientError.
+void recv_timeout_drill(const MakeTransport& make) {
   bool transient = false;
   run_spmd(2, make, [&](int r, tr::Transport& tp) {
     if (r == 1) {
-      // Alive but silent; wait for rank 0's all-clear so the EOF of our
+      // Alive but silent; wait for rank 0's all-clear so the death of our
       // exit cannot race the timeout under test.
       std::vector<std::byte> done;
       tp.recv(0, ctrl_tag(0), done);
@@ -870,6 +890,16 @@ TEST(TransportErrors, SocketRecvTimeoutIsTransient) {
     tp.send(1, ctrl_tag(0), make_payload(1));
   });
   EXPECT_TRUE(transient);
+}
+
+TEST(TransportErrors, SocketRecvTimeoutIsTransient) {
+  SocketWorld w(2);
+  recv_timeout_drill(w.make(/*recv_timeout_ms=*/100));
+}
+
+TEST(TransportErrors, ShmRecvTimeoutIsTransient) {
+  ShmWorld w(2);
+  recv_timeout_drill(w.make(/*recv_timeout_ms=*/100));
 }
 
 /// A frame bigger than the ring streams through it in segments: the
@@ -893,14 +923,13 @@ TEST(ShmTransport, LargeFrameStreamsThroughSmallRing) {
   EXPECT_EQ(got, big);
 }
 
-/// Regression: two ranks pushing frames bigger than the ring at each
-/// other — every face sent before any is received, as the halo exchange
-/// does — must not deadlock on mutually full rings. Bytes that do not
-/// fit spill to the sender's outbox and pump() flushes them.
-TEST(ShmTransport, BidirectionalLargeFramesDoNotDeadlock) {
-  ShmWorld w(2, /*ring_bytes=*/4096);
-  const MakeTransport make = w.make();
-  const std::vector<std::byte> big = make_payload(256 * 1024, 7);
+/// Regression: two ranks pushing frames bigger than their stream buffers
+/// at each other — every face sent before any is received, as the halo
+/// exchange does — must not deadlock on mutually full streams. Bytes that
+/// do not fit spill to the sender's outbox and the receive pump flushes
+/// them.
+void bidirectional_drill(const MakeTransport& make, std::size_t bytes) {
+  const std::vector<std::byte> big = make_payload(bytes, 7);
   std::vector<std::byte> got[2];
   run_spmd(2, make, [&](int r, tr::Transport& tp) {
     tp.send(1 - r, ctrl_tag(0), big);
@@ -908,6 +937,19 @@ TEST(ShmTransport, BidirectionalLargeFramesDoNotDeadlock) {
   });
   EXPECT_EQ(got[0], big);
   EXPECT_EQ(got[1], big);
+}
+
+TEST(ShmTransport, BidirectionalLargeFramesDoNotDeadlock) {
+  ShmWorld w(2, /*ring_bytes=*/4096);
+  bidirectional_drill(w.make(), 256 * 1024);
+}
+
+/// Loopback TCP buffers hold a few MiB at most (the send buffer is capped
+/// by tcp_wmem, the receive window stays small while nobody reads), so
+/// 8 MiB frames always spill.
+TEST(SocketTransport, BidirectionalLargeFramesDoNotDeadlock) {
+  SocketWorld w(2);
+  bidirectional_drill(w.make(), 8u << 20);
 }
 
 /// Regression: a producer that dies mid-frame (SIGKILL leaves a torn
